@@ -4,119 +4,66 @@ Computes a quotient basis connected to 1 and monic rewriting rules covering
 its border, certified by the commutation of the induced multiplication
 matrices.  Includes choice functions generalizing monomial orders, the
 commutation syzygies, and numerical root extraction by eigenvectors.
+
+The package exports the pipeline the CLI and the README use, the types it
+returns and the errors it raises; helpers live in the submodules.
 """
 
 from .border import (
     BorderBasis,
     DegenerateInputError,
     InconsistentSystemError,
-    NotReducibleError,
     NotZeroDimensionalError,
-    RewritingRule,
-    c_polynomial,
-    check_reducing_family,
     compute_border_basis,
-    interreduce,
-    reduce_by_rules,
 )
-from .choice import ChoiceFunction, NoChoosableMonomial, gamma, gamma_eps, kappa, parse_choice
-from .fields import (
-    DEFAULT_EPS,
-    Field,
-    FieldDivisionError,
-    FieldError,
-    FloatField,
-    PrimeField,
-    RationalField,
-    parse_field,
-)
+from .choice import ChoiceFunction, parse_choice
+from .fields import Field, FieldError, parse_field
 from .poly import (
     ParseError,
     Polynomial,
-    b_index,
-    border,
-    connected_to_one,
-    divisor_closure,
     format_poly,
     format_system,
     parse_polynomial,
     parse_system,
-    prolong,
-    stable_by_division,
 )
 from .quotient import (
     MultiplicationSystem,
     NotABorderBasisError,
     build_mult_system,
     check_commutation,
-    ideal_member,
     normal_form,
 )
-from .solve import RootSet, SolveError, eigen_roots, mnacr
-from .syzygy import (
-    MuTable,
-    SyzygyRelation,
-    generate_syzygies,
-    mu_table,
-    reduce_syzygy,
-    verify_syzygy,
-)
-from .systems import gen_intro_family, gen_katsura
+from .solve import RootSet, SolveError, eigen_roots
+from .syzygy import SyzygyRelation, generate_syzygies, reduce_syzygy
+from .systems import gen_katsura
 
 __all__ = [
     "BorderBasis",
     "ChoiceFunction",
-    "DEFAULT_EPS",
     "DegenerateInputError",
     "Field",
-    "FieldDivisionError",
     "FieldError",
-    "FloatField",
     "InconsistentSystemError",
-    "MuTable",
     "MultiplicationSystem",
-    "NoChoosableMonomial",
     "NotABorderBasisError",
-    "NotReducibleError",
     "NotZeroDimensionalError",
     "ParseError",
     "Polynomial",
-    "PrimeField",
-    "RationalField",
-    "RewritingRule",
     "RootSet",
     "SolveError",
     "SyzygyRelation",
-    "b_index",
-    "border",
     "build_mult_system",
-    "c_polynomial",
     "check_commutation",
-    "check_reducing_family",
     "compute_border_basis",
-    "connected_to_one",
-    "divisor_closure",
     "eigen_roots",
     "format_poly",
     "format_system",
-    "gamma",
-    "gamma_eps",
-    "gen_intro_family",
     "gen_katsura",
     "generate_syzygies",
-    "ideal_member",
-    "interreduce",
-    "kappa",
-    "mnacr",
-    "mu_table",
     "normal_form",
     "parse_choice",
     "parse_field",
     "parse_polynomial",
     "parse_system",
-    "prolong",
-    "reduce_by_rules",
     "reduce_syzygy",
-    "stable_by_division",
-    "verify_syzygy",
 ]

@@ -114,10 +114,6 @@ def c_polynomial(f: Polynomial, g: Polynomial, cf: ChoiceFunction) -> Polynomial
     return a.sub(b)
 
 
-def c_degree(f: Polynomial, g: Polynomial, cf: ChoiceFunction) -> int:
-    return mono_size(mono_lcm(cf.gamma(f), cf.gamma(g)))
-
-
 def _rule_c_polynomial(r1: RewritingRule, r2: RewritingRule) -> Polynomial:
     lcm = mono_lcm(r1.lead, r2.lead)
     a = r1.poly().mul_monomial(mono_div(lcm, r1.lead))
@@ -293,8 +289,6 @@ class BorderBasis:
         return [self.rules[m].poly() for m in sorted(self.rules, key=mono_key)]
 
     def to_json_dict(self, varnames=None):
-        from .poly import format_monomial  # local, avoids cycle at import
-
         if varnames is None:
             varnames = [f"x{i}" for i in range(self.nvars)]
         fld = self.field
@@ -331,9 +325,7 @@ def _dedupe(polys):
     return out
 
 
-def compute_border_basis(
-    F, cf: ChoiceFunction, loop_limit: int | None = None, check_generators: bool = True
-) -> BorderBasis:
+def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
     """Fixed-point border basis computation.
 
     Raises InconsistentSystemError when 1 lies in the ideal and
@@ -350,8 +342,7 @@ def compute_border_basis(
         if p.degree() == 0:
             raise InconsistentSystemError(p)
 
-    if loop_limit is None:
-        loop_limit = sum(max(p.degree(), 1) for p in gens) + n + 10
+    loop_limit = sum(max(p.degree(), 1) for p in gens) + n + 10
 
     pool = _dedupe(gens)
     support = set()
@@ -425,7 +416,7 @@ def compute_border_basis(
                 if not r.is_zero():
                     new_constraints.append(r)
         result = BorderBasis(B, rules, loops, field, n)
-        if not new_constraints and check_generators:
+        if not new_constraints:
             for p in gens:
                 r = result.extended_project(p)
                 if not r.is_zero():

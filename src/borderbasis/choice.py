@@ -78,14 +78,11 @@ class ChoiceFunction:
         return min(top, key=lambda m: (f.coeff_size(p.terms[m]), [-k for k in grevlex_key(m)[1]]))
 
     def gamma(self, p: Polynomial) -> Monomial:
+        """The chosen monomial of p, ignoring coefficients of magnitude below eps."""
         monos = self._filtered_support(p)
         if not monos:
             raise NoChoosableMonomial("no choosable monomial (polynomial is (eps-)zero)")
         return self._pick(p, monos)
-
-    def kappa(self, p: Polynomial):
-        """Coefficient of the chosen monomial."""
-        return p.terms[self.gamma(p)]
 
     def _filtered_support(self, p: Polynomial):
         if self.eps <= 0:
@@ -93,27 +90,11 @@ class ChoiceFunction:
         f = p.field
         return [m for m, c in p.terms.items() if f.magnitude(c) >= self.eps]
 
-    def with_eps(self, eps: float) -> "ChoiceFunction":
-        return ChoiceFunction(self.kind, self.seed, eps)
-
     def __repr__(self):
         tag = self.kind if self.kind != "mix" else f"mix:{self.seed}"
         if self.eps > 0:
             tag += f" (eps={self.eps:g})"
         return f"<choice {tag}>"
-
-
-def gamma(p: Polynomial, cf: ChoiceFunction) -> Monomial:
-    return cf.gamma(p)
-
-
-def kappa(p: Polynomial, cf: ChoiceFunction):
-    return cf.kappa(p)
-
-
-def gamma_eps(p: Polynomial, cf: ChoiceFunction, eps: float) -> Monomial:
-    """gamma applied to p restricted to coefficients of magnitude >= eps."""
-    return cf.with_eps(eps).gamma(p)
 
 
 def parse_choice(spec: str, eps: float = 0.0) -> ChoiceFunction:

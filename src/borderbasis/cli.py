@@ -2,8 +2,8 @@
 
 Subcommands: basis, matrices, syzygies, solve, normalform, katsura.  Reports
 are plain text by default and machine-readable with --json.  Exit codes:
-1 parse error, 2 not zero-dimensional (or inconsistent / guard exceeded),
-3 numeric failure.
+1 parse or usage error, 2 not zero-dimensional (or inconsistent / guard
+exceeded), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,14 @@ from .border import (
 )
 from .choice import parse_choice
 from .fields import FieldError, parse_field
-from .poly import ParseError, format_poly, format_system, parse_polynomial, parse_system
+from .poly import (
+    ParseError,
+    format_monomial,
+    format_poly,
+    format_system,
+    parse_polynomial,
+    parse_system,
+)
 from .quotient import NotABorderBasisError, build_mult_system, check_commutation, normal_form
 from .solve import SolveError, eigen_roots
 from .syzygy import generate_syzygies
@@ -103,9 +110,7 @@ def _base_report(args, text, varnames, field, bb):
     }
 
 
-def _syzygy_json(rels, varnames, field):
-    from .poly import format_monomial
-
+def _syzygy_json(rels, varnames):
     out = []
     for rel in rels:
         m, i1, i2 = rel.origin
@@ -135,7 +140,7 @@ def _emit(report, args, timer, human_lines):
 
 
 def _dump_matrices(args, ms, varnames):
-    if getattr(args, "dump_matrices", None):
+    if args.dump_matrices:
         with open(args.dump_matrices, "w", encoding="utf-8") as fh:
             json.dump(ms.to_json_dict(varnames), fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -151,7 +156,7 @@ def _run_basis(args, text, varnames, field, polys):
     report["commutation"] = commutes
     if args.syzygies:
         with timer.measure("syzygies"):
-            report["syzygies"] = _syzygy_json(generate_syzygies(bb), varnames, field)
+            report["syzygies"] = _syzygy_json(generate_syzygies(bb), varnames)
     lines = [f"basis ({bb.dimension}): " + " ".join(report["basis"])]
     lines += [
         f"rule: {r['lead']} -> "
@@ -186,7 +191,7 @@ def _run_syzygies(args, text, varnames, field, polys):
     with timer.measure("syzygies"):
         rels = generate_syzygies(bb)
     report = _base_report(args, text, varnames, field, bb)
-    report["syzygies"] = _syzygy_json(rels, varnames, field)
+    report["syzygies"] = _syzygy_json(rels, varnames)
     lines = [f"basis ({bb.dimension}): " + " ".join(report["basis"])]
     for r in report["syzygies"]:
         o = r["origin"]
@@ -255,35 +260,36 @@ def _run_katsura(args):
     return _ACTIONS[args.action](args, text, varnames, field, polys)
 
 
-def _add_common(sub, with_input=True):
-    sub.add_argument("--field", help="field override: qq | fp:<p> | f64:<eps>")
-    sub.add_argument("--choice", default="mac", help="drvl | dlex | mac | minsz | mix:<seed>")
-    sub.add_argument("--eps", type=float, default=0.0, help="choice-function magnitude filter")
-    sub.add_argument("--seed", type=int, default=0, help="seed for mix choice and solving")
-    sub.add_argument("--json", action="store_true", help="machine-readable report")
-    sub.add_argument("--dump-matrices", metavar="PATH", help="write multiplication matrices JSON")
-    sub.add_argument("--syzygies", action="store_true", help="include syzygies in the report")
-    if with_input:
-        sub.add_argument("input", help="system file ('-' for stdin)")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_PARSE; argparse's own code 2 would read as
+    "not zero-dimensional"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="borderbasis",
         description="Border bases of zero-dimensional polynomial ideals.",
     )
     sp = ap.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("basis", "compute the quotient basis and rewriting rules"),
-        ("matrices", "compute the multiplication matrices"),
-        ("syzygies", "generate the commutation syzygies"),
-        ("solve", "numerical roots via eigenvectors"),
-    ):
-        _add_common(sp.add_parser(name, help=helptext))
-    nf = sp.add_parser("normalform", help="normal form of polynomials modulo the ideal")
-    nf.add_argument("-p", "--poly", action="append", required=True, help="polynomial (repeatable)")
-    _add_common(nf)
-    ka = sp.add_parser("katsura", help="generate (or process) a Katsura system")
+    subs = {
+        name: sp.add_parser(name, help=helptext)
+        for name, helptext in (
+            ("basis", "compute the quotient basis and rewriting rules"),
+            ("matrices", "compute the multiplication matrices"),
+            ("syzygies", "generate the commutation syzygies"),
+            ("solve", "numerical roots via eigenvectors"),
+            ("normalform", "normal form of polynomials modulo the ideal"),
+            ("katsura", "generate (or process) a Katsura system"),
+        )
+    }
+    subs["normalform"].add_argument(
+        "-p", "--poly", action="append", required=True, help="polynomial (repeatable)"
+    )
+    ka = subs["katsura"]
     ka.add_argument("-n", type=int, required=False, default=3, help="Katsura index (>= 1)")
     ka.add_argument("--show", action="store_true", help="print the generator formula")
     ka.add_argument(
@@ -292,7 +298,25 @@ def build_parser() -> argparse.ArgumentParser:
         default="print",
         choices=["print", "basis", "matrices", "syzygies", "solve"],
     )
-    _add_common(ka, with_input=False)
+    # each subcommand takes only the flags its handler reads; katsura names
+    # its handler positionally, so it takes them all
+    for name, sub in subs.items():
+        sub.add_argument("--field", help="field override: qq | fp:<p> | f64:<eps>")
+        sub.add_argument("--choice", default="mac", help="drvl | dlex | mac | minsz | mix:<seed>")
+        sub.add_argument("--eps", type=float, default=0.0, help="choice-function magnitude filter")
+        if name in ("solve", "katsura"):
+            sub.add_argument("--seed", type=int, default=0, help="seed of the eigen solve")
+        sub.add_argument("--json", action="store_true", help="machine-readable report")
+        if name in ("basis", "matrices", "katsura"):
+            sub.add_argument(
+                "--dump-matrices", metavar="PATH", help="write multiplication matrices JSON"
+            )
+        if name in ("basis", "katsura"):
+            sub.add_argument(
+                "--syzygies", action="store_true", help="include syzygies in the report"
+            )
+        if name != "katsura":
+            sub.add_argument("input", help="system file ('-' for stdin)")
     return ap
 
 

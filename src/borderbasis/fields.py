@@ -7,6 +7,7 @@ hashable and cheap to copy.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -25,7 +26,7 @@ def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin, exact for p < 3.3e24 (covers p < 2^31)."""
     if p < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if p % q == 0:
             return p == q
     d, s = p - 1, 0
@@ -93,9 +94,6 @@ class Field:
 
     def to_complex(self, a) -> complex:
         raise FieldError(f"field {self.name} is not embeddable in C")
-
-    def eq(self, a, b) -> bool:
-        return self.is_zero(self.sub(a, b))
 
     def __repr__(self):
         return f"<field {self.name}>"
@@ -211,8 +209,8 @@ class FloatField(Field):
     """
 
     def __init__(self, eps: float = DEFAULT_EPS):
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
         self.eps = eps
         self.name = f"f64:{eps:g}"
         self.zero = 0.0

@@ -55,11 +55,6 @@ def mono_key(m: Monomial):
     return (mono_size(m), tuple(-e for e in m))
 
 
-def grading(m: Monomial) -> int:
-    """Total-degree grading; a reducing grading (strict divisors are smaller)."""
-    return mono_size(m)
-
-
 class Polynomial:
     """Immutable sparse polynomial over a coefficient field."""
 
@@ -147,17 +142,6 @@ class Polynomial:
                 acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
         return Polynomial(f, self.nvars, acc)
 
-    def evaluate(self, point):
-        """Evaluate at a complex point (coefficients mapped via the field)."""
-        total = 0j
-        for m, c in self.terms.items():
-            v = self.field.to_complex(c)
-            for i, e in enumerate(m):
-                if e:
-                    v *= point[i] ** e
-            total += v
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -207,29 +191,11 @@ def b_index(m: Monomial, B: set) -> int:
     return best
 
 
-def connected_to_one(B: set) -> bool:
-    """Every element reachable from 1 by variable multiplications inside B."""
-    B = set(B)
-    if not B:
-        return False
-    n = len(next(iter(B)))
-    one = mono_one(n)
-    if one not in B:
-        return False
-    reach = {one}
-    frontier = [one]
-    while frontier:
-        m = frontier.pop()
-        for i in range(n):
-            m2 = mono_mul(m, mono_var(n, i))
-            if m2 in B and m2 not in reach:
-                reach.add(m2)
-                frontier.append(m2)
-    return reach == B
-
-
 def connected_component_of_one(B: set) -> set:
-    """Largest subset of B containing 1 and connected to 1 (empty if 1 not in B)."""
+    """Largest subset of B containing 1 and connected to 1 (empty if 1 not in B).
+
+    B is connected to 1 exactly when this returns B itself.
+    """
     B = set(B)
     if not B:
         return set()
@@ -316,28 +282,6 @@ def format_monomial(m: Monomial, varnames=None) -> str:
         elif e > 1:
             parts.append(f"{varnames[i]}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def parse_monomial(text: str, nvars: int) -> Monomial:
-    """Parse a bare monomial string like ``x0^2*x1`` (used by JSON loaders)."""
-    text = text.strip()
-    if text == "1":
-        return mono_one(nvars)
-    exps = [0] * nvars
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            name, _, e = factor.partition("^")
-            e = int(e)
-        else:
-            name, e = factor, 1
-        if not name.startswith("x"):
-            raise ParseError(f"bad monomial factor {factor!r}")
-        i = int(name[1:])
-        if i >= nvars:
-            raise ParseError(f"variable {name} out of range (n={nvars})")
-        exps[i] += e
-    return tuple(exps)
 
 
 def format_poly(p: Polynomial, varnames=None) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .border import BorderBasis
 from .fields import FloatField
-from .poly import Monomial, Polynomial, mono_key, mono_mul, mono_one, mono_var
+from .poly import Monomial, Polynomial, format_monomial, mono_key, mono_mul, mono_one, mono_var
 
 
 class NotABorderBasisError(Exception):
@@ -33,9 +33,6 @@ class MultiplicationSystem:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def column(self, i: int, j: int):
-        return self.matrices[i][j]
 
     def apply(self, i: int, vec):
         """M_i applied to a coordinate vector."""
@@ -69,8 +66,6 @@ class MultiplicationSystem:
         return [[self.matrices[i][j][k] for j in range(D)] for k in range(D)]
 
     def to_json_dict(self, varnames=None):
-        from .poly import format_monomial
-
         if varnames is None:
             varnames = [f"x{i}" for i in range(self.nvars)]
         f = self.field

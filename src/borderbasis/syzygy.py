@@ -13,6 +13,7 @@ from .border import BorderBasis
 from .poly import (
     Monomial,
     Polynomial,
+    b_index,
     mono_div,
     mono_divides,
     mono_key,
@@ -24,6 +25,9 @@ from .poly import (
 KIND_NEXT_DOOR = "next_door"
 KIND_NON_STAIR = "non_stair"
 KIND_ACROSS_STREET = "across_street"
+
+# reduce_syzygy gives up with a SyzygyError after this many descent steps
+_REDUCE_STEP_LIMIT = 100000
 
 
 class SyzygyError(Exception):
@@ -44,7 +48,7 @@ class SyzygyRelation:
         return f"SyzygyRelation(kind={self.kind}, origin={self.origin})"
 
 
-def _mu_of_basis_vector(p: Polynomial, i: int, bb: BorderBasis) -> dict:
+def mu(p: Polynomial, i: int, bb: BorderBasis) -> dict:
     """mu^i of p in <B>: coefficients (w -> c) with pi_F(x_i p) = x_i p - sum c f_w."""
     out = {}
     f = p.field
@@ -56,32 +60,9 @@ def _mu_of_basis_vector(p: Polynomial, i: int, bb: BorderBasis) -> dict:
     return out
 
 
-class MuTable:
-    """mu^i coefficients for the basis monomials, extended by linearity."""
-
-    def __init__(self, bb: BorderBasis):
-        self.bb = bb
-        self.table = {}
-        for b in bb.basis:
-            for i in range(bb.nvars):
-                mono = Polynomial.monomial(bb.field, bb.nvars, b)
-                self.table[(b, i)] = _mu_of_basis_vector(mono, i, bb)
-
-    def mu(self, b: Monomial, i: int) -> dict:
-        return self.table[(b, i)]
-
-    def mu_poly(self, p: Polynomial, i: int) -> dict:
-        """Linear extension to p in <B>."""
-        return _mu_of_basis_vector(p, i, self.bb)
-
-
-def mu_table(bb: BorderBasis) -> MuTable:
-    return MuTable(bb)
-
-
-def _const_coeffs(mu: dict, bb: BorderBasis) -> dict:
+def _const_coeffs(coeffs: dict, bb: BorderBasis) -> dict:
     f = bb.field
-    return {w: Polynomial(f, bb.nvars, {(0,) * bb.nvars: c}) for w, c in mu.items()}
+    return {w: Polynomial(f, bb.nvars, {(0,) * bb.nvars: c}) for w, c in coeffs.items()}
 
 
 def _add_vec(a: dict, b: dict) -> dict:
@@ -117,12 +98,11 @@ def verify_syzygy(coeffs, bb: BorderBasis) -> bool:
     return expand_syzygy(coeffs, bb).is_zero()
 
 
-def generate_syzygies(bb: BorderBasis, mt: MuTable | None = None):
+def generate_syzygies(bb: BorderBasis):
     """The next-door / non-stair / across-the-street generators.
 
     Every emitted relation is re-verified symbolically (fail-fast).
     """
-    mt = mt or MuTable(bb)
     f = bb.field
     n = bb.nvars
     out = []
@@ -140,7 +120,7 @@ def generate_syzygies(bb: BorderBasis, mt: MuTable | None = None):
                     a, ub = (i1, u2) if in1 else (i2, u1)
                     rho = bb.rules[ub].tail
                     coeffs = _mono_vec(ub, mono_var(n, a), f, n)
-                    coeffs = _add_vec(coeffs, _const_coeffs(mt.mu_poly(rho, a), bb))
+                    coeffs = _add_vec(coeffs, _const_coeffs(mu(rho, a, bb), bb))
                     if u12 in bb.basis_set:
                         kind = KIND_NON_STAIR
                     else:
@@ -156,8 +136,8 @@ def generate_syzygies(bb: BorderBasis, mt: MuTable | None = None):
                         coeffs, _mono_vec(u1, mono_var(n, i2), f, n, f.neg(f.one))
                     )
                     diff = _add_vec(
-                        _const_coeffs({w: f.neg(c) for w, c in mt.mu_poly(rho1, i2).items()}, bb),
-                        _const_coeffs(mt.mu_poly(rho2, i1), bb),
+                        _const_coeffs({w: f.neg(c) for w, c in mu(rho1, i2, bb).items()}, bb),
+                        _const_coeffs(mu(rho2, i1, bb), bb),
                     )
                     coeffs = _add_vec(coeffs, diff)
                 rel = SyzygyRelation(coeffs, kind, (m, i1, i2))
@@ -169,14 +149,6 @@ def generate_syzygies(bb: BorderBasis, mt: MuTable | None = None):
 
 # ---------------------------------------------------------------------------
 # reduction of arbitrary syzygies modulo the commutation generators
-
-
-def _b_index(u: Monomial, bb: BorderBasis) -> int:
-    best = mono_size(u)
-    for b in bb.basis:
-        if mono_divides(b, u):
-            best = min(best, mono_size(u) - mono_size(b))
-    return best
 
 
 def _decomposition_vector(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
@@ -194,13 +166,12 @@ def _decomposition_vector(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict
     prev = _decomposition_vector(m_prev, theta, bb)
     shifted = {w: h.mul_monomial(mono_var(n, i)) for w, h in prev.items()}
     inner = bb.extended_project_monomial(mono_mul(m_prev, theta))
-    mu = _mu_of_basis_vector(inner, i, bb)
-    return _add_vec(shifted, _const_coeffs(mu, bb))
+    return _add_vec(shifted, _const_coeffs(mu(inner, i, bb), bb))
 
 
 def _exchange_partner(u: Monomial, bb: BorderBasis):
     """Deterministic (m', theta') with m'*theta' = u and b-index(u) = |m'| + 1."""
-    delta = _b_index(u, bb)
+    delta = b_index(u, bb.basis_set)
     for b in bb.basis:  # bb.basis is canonically sorted
         if mono_divides(b, u) and mono_size(u) - mono_size(b) == delta:
             q = mono_div(u, b)
@@ -210,7 +181,7 @@ def _exchange_partner(u: Monomial, bb: BorderBasis):
     raise SyzygyError(f"no exchange partner for {u}")
 
 
-def reduce_syzygy(coeffs, bb: BorderBasis, max_steps: int = 100000) -> dict:
+def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
     """Reduce a syzygy modulo the commutation generators; returns the residual.
 
     The residual is the empty dict exactly when the input lies in the module
@@ -229,7 +200,7 @@ def reduce_syzygy(coeffs, bb: BorderBasis, max_steps: int = 100000) -> dict:
             for m in residual[w].sorted_monomials():
                 yield m, w, residual[w].terms[m]
 
-    for _ in range(max_steps):
+    for _ in range(_REDUCE_STEP_LIMIT):
         if not residual:
             return {}
         # phase 1: normalize so every term has b-index(m*theta) == |m| + 1,
@@ -238,7 +209,7 @@ def reduce_syzygy(coeffs, bb: BorderBasis, max_steps: int = 100000) -> dict:
         best_key = None
         for m, w, lam in terms():
             u = mono_mul(m, w)
-            delta = _b_index(u, bb)
+            delta = b_index(u, bb.basis_set)
             if delta < mono_size(m) + 1:
                 key = (delta, mono_size(m), tuple(m))
                 if best_key is None or key > best_key:
@@ -263,7 +234,7 @@ def reduce_syzygy(coeffs, bb: BorderBasis, max_steps: int = 100000) -> dict:
         pair_u = None
         for u, entries in groups.items():
             if len(entries) >= 2:
-                key = (_b_index(u, bb), mono_key(u))
+                key = (b_index(u, bb.basis_set), mono_key(u))
                 if pair_u is None or key > pair_u[0]:
                     pair_u = (key, u, entries)
         if pair_u is None:

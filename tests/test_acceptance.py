@@ -9,20 +9,17 @@ import time
 from borderbasis import (
     build_mult_system,
     check_commutation,
-    check_reducing_family,
     compute_border_basis,
-    gen_intro_family,
     gen_katsura,
     normal_form,
     parse_choice,
     parse_field,
-    reduce_by_rules,
-    verify_syzygy,
 )
-from borderbasis.border import _rule_c_polynomial
+from borderbasis.border import _rule_c_polynomial, check_reducing_family, reduce_by_rules
 from borderbasis.cli import main
 from borderbasis.poly import mono_key
-from borderbasis.syzygy import generate_syzygies, reduce_syzygy
+from borderbasis.syzygy import generate_syzygies, reduce_syzygy, verify_syzygy
+from borderbasis.systems import gen_intro_family
 
 from conftest import (
     OracleProjector,

@@ -2,15 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borderbasis import (
-    NoChoosableMonomial,
-    Polynomial,
-    gamma,
-    gamma_eps,
-    kappa,
-    parse_choice,
-)
-from borderbasis.choice import deglex_key, grevlex_key
+from borderbasis import Polynomial, parse_choice
+from borderbasis.choice import NoChoosableMonomial, deglex_key, grevlex_key
 from borderbasis.fields import FloatField, RationalField
 from borderbasis.poly import mono_divides, mono_size, monomials_of_degree_at_most
 
@@ -19,7 +12,7 @@ from conftest import poly_of, seeded
 
 def test_mac_prefers_high_single_variable_degree(qq, mac):
     p = poly_of("x0^2*x1 + x1^3", qq)
-    assert gamma(p, mac) == (0, 3)
+    assert mac.gamma(p) == (0, 3)
 
 
 def test_mac_lex_tie_break(qq, mac):
@@ -33,17 +26,17 @@ def test_mac_lex_tie_break(qq, mac):
 
 def test_drvl(qq):
     p = poly_of("x0^2 + x0*x1", qq)
-    assert gamma(p, parse_choice("drvl")) == (2, 0)
+    assert parse_choice("drvl").gamma(p) == (2, 0)
 
 
 def test_dlex(qq):
     p = poly_of("x0*x1^2 + x0^2", qq)
-    assert gamma(p, parse_choice("dlex")) == (1, 2)
+    assert parse_choice("dlex").gamma(p) == (1, 2)
 
 
 def test_kappa(qq, mac):
     p = poly_of("5*x0^2 + x1", qq)
-    assert kappa(p, mac) == 5
+    assert p.terms[mac.gamma(p)] == 5
 
 
 def test_gamma_of_zero_errors(qq, mac):
@@ -54,15 +47,15 @@ def test_gamma_of_zero_errors(qq, mac):
 def test_gamma_eps_filters(mac):
     f = FloatField(0.0)
     p = Polynomial(f, 2, {(2, 0): 1.0, (0, 3): 1e-12})
-    assert gamma_eps(p, mac, 1e-10) == (2, 0)
-    assert gamma(p, mac) == (0, 3)
+    assert parse_choice("mac", eps=1e-10).gamma(p) == (2, 0)
+    assert mac.gamma(p) == (0, 3)
 
 
-def test_gamma_eps_all_filtered(mac):
+def test_gamma_eps_all_filtered():
     f = FloatField(0.0)
     p = Polynomial(f, 2, {(1, 0): 1e-12, (0, 1): 1e-13})
     with pytest.raises(NoChoosableMonomial):
-        gamma_eps(p, mac, 1e-10)
+        parse_choice("mac", eps=1e-10).gamma(p)
 
 
 def test_gamma_eps_zero_is_gamma(qq, mac):
@@ -73,7 +66,7 @@ def test_gamma_eps_zero_is_gamma(qq, mac):
         if not terms:
             continue
         p = Polynomial(qq, 2, terms)
-        assert gamma_eps(p, mac, 0.0) == gamma(p, mac)
+        assert parse_choice("mac", eps=0.0).gamma(p) == mac.gamma(p)
 
 
 def test_minsz_picks_small_coefficient(qq):

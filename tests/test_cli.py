@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from borderbasis import gen_intro_family, gen_katsura
+from borderbasis import gen_katsura
 from borderbasis.cli import main
+from borderbasis.systems import gen_intro_family
 
 SYS = "ring x0 x1 over qq\nx0^2 - 1\nx1^2 - x1\n"
 
@@ -131,6 +132,46 @@ def test_cli_solve_prime_field_is_numeric_error(capsys, tmp_path):
     path = tmp_path / "fp.txt"
     path.write_text("ring x0 over fp:7\nx0^2 - 1\n")
     assert main(["solve", str(path)]) == 3
+
+
+@pytest.mark.parametrize("spec", ["f64:nan", "f64:inf"])
+def test_cli_rejects_non_finite_eps(capsys, spec):
+    assert main(["katsura", "-n", "3", "--field", spec, "--json", "basis"]) == 1
+
+
+def test_cli_usage_error_exits_1(capsys, sysfile):
+    # exit 2 means "not zero-dimensional"; argparse's default code would collide
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--bogus", sysfile])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--seed", "1"],
+        ["matrices", "--syzygies"],
+        ["syzygies", "--dump-matrices", "m.json"],
+        ["solve", "--syzygies"],
+        ["normalform", "-p", "x0", "--seed", "1"],
+    ],
+)
+def test_cli_rejects_flags_the_subcommand_ignores(capsys, sysfile, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [sysfile])
+    assert exc.value.code == 1
+
+
+def test_cli_katsura_takes_every_flag(capsys, tmp_path):
+    dump = tmp_path / "m.json"
+    argv = ["katsura", "-n", "2", "--field", "fp:101", "--seed", "1", "--syzygies"]
+    code, out = run(capsys, argv + ["--dump-matrices", str(dump), "--json", "basis"])
+    assert code == 0
+    assert json.loads(out)["syzygies"]
+    assert json.loads(dump.read_text())["basis"] == json.loads(out)["basis"]
 
 
 def test_cli_field_override(capsys, sysfile):

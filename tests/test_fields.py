@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from borderbasis import (
+from borderbasis import parse_field
+from borderbasis.fields import (
     DEFAULT_EPS,
     FieldDivisionError,
     FloatField,
     PrimeField,
     RationalField,
-    parse_field,
 )
 
 
@@ -70,6 +70,13 @@ def test_parse_field_strings():
     assert parse_field("f64:1e-10").eps == 1e-10
     with pytest.raises(ValueError):
         parse_field("gf:4")
+
+
+@pytest.mark.parametrize("spec", ["f64:nan", "f64:inf", "f64:-inf"])
+def test_parse_field_rejects_non_finite_eps(spec):
+    # nan passed every zero test and inf zeroed every coefficient
+    with pytest.raises(ValueError):
+        parse_field(spec)
 
 
 @given(

@@ -5,19 +5,17 @@ from hypothesis import strategies as st
 from borderbasis import (
     ParseError,
     Polynomial,
-    b_index,
-    border,
-    connected_to_one,
-    divisor_closure,
     format_poly,
     format_system,
     parse_polynomial,
     parse_system,
-    prolong,
-    stable_by_division,
 )
 from borderbasis.fields import PrimeField, RationalField
 from borderbasis.poly import (
+    b_index,
+    border,
+    connected_component_of_one,
+    divisor_closure,
     mono_div,
     mono_divides,
     mono_key,
@@ -25,6 +23,8 @@ from borderbasis.poly import (
     mono_mul,
     mono_size,
     monomials_of_degree_at_most,
+    prolong,
+    stable_by_division,
 )
 
 from conftest import poly_of, seeded
@@ -59,8 +59,8 @@ def test_b_index():
 
 
 def test_connectivity_and_stability():
-    assert not connected_to_one({(0, 0), (1, 1)})
-    assert connected_to_one({(0, 0), (1, 0), (1, 1)})
+    assert connected_component_of_one({(0, 0), (1, 1)}) != {(0, 0), (1, 1)}
+    assert connected_component_of_one({(0, 0), (1, 0), (1, 1)}) == {(0, 0), (1, 0), (1, 1)}
     assert not stable_by_division({(0, 0), (1, 0), (1, 1)})
     assert stable_by_division({(0, 0), (1, 0), (0, 1), (1, 1)})
 
@@ -73,7 +73,7 @@ def test_stable_implies_connected_random():
         sample = {m for m in monos if rng.random() < 0.3} | {(0,) * n}
         B = divisor_closure(sample)
         assert stable_by_division(B)
-        assert connected_to_one(B)
+        assert connected_component_of_one(B) == B
 
 
 def test_parse_basic(qq):

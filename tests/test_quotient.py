@@ -5,10 +5,10 @@ from borderbasis import (
     build_mult_system,
     check_commutation,
     compute_border_basis,
-    ideal_member,
     normal_form,
 )
 from borderbasis.border import BorderBasis
+from borderbasis.quotient import ideal_member
 
 from conftest import (
     compute,

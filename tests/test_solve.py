@@ -7,12 +7,11 @@ from borderbasis import (
     build_mult_system,
     compute_border_basis,
     eigen_roots,
-    gen_intro_family,
-    mnacr,
     parse_choice,
     parse_field,
 )
-from borderbasis.solve import rule_residual
+from borderbasis.solve import mnacr, rule_residual
+from borderbasis.systems import gen_intro_family
 
 from conftest import system_of
 
