@@ -1,12 +1,13 @@
-"""Rewriting families, border projection, C-polynomials and the fixed-point
-border basis computation.
+"""Rewriting families, border projection and the fixed-point border basis
+computation.
 
 The computation maintains a candidate quotient basis B (connected to 1) and a
 linear echelon of ideal elements supported in the prolongation of B.  Each
 round saturates the echelon with single-variable multiples, then applies one
 of three moves: shrink B when a dependency inside <B> appears, grow B when a
 border monomial cannot be rewritten, or stop once every border monomial has a
-rule and all in-range C-polynomials reduce to zero.
+rule, the candidate's multiplication matrices commute on every neighbour
+column and every generator projects to zero.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .poly import (
     mono_size,
     mono_var,
 )
+from .quotient import build_mult_system, commutators
 
 
 class NotReducibleError(Exception):
@@ -101,20 +103,8 @@ def reduce_by_rules(p: Polynomial, rules: dict, B: set) -> Polynomial:
     return Polynomial(f, p.nvars, acc)
 
 
-def c_polynomial(f: Polynomial, g: Polynomial, cf: ChoiceFunction) -> Polynomial:
-    """C(f, g) relative to the choice function (cross-multiplied difference)."""
-    if f.is_zero() or g.is_zero():
-        raise NoChoosableMonomial("C-polynomial of a zero polynomial")
-    gf, gg = cf.gamma(f), cf.gamma(g)
-    kf, kg = f.terms[gf], g.terms[gg]
-    lcm = mono_lcm(gf, gg)
-    fld = f.field
-    a = f.mul_monomial(mono_div(lcm, gf), fld.inv(kf))
-    b = g.mul_monomial(mono_div(lcm, gg), fld.inv(kg))
-    return a.sub(b)
-
-
 def _rule_c_polynomial(r1: RewritingRule, r2: RewritingRule) -> Polynomial:
+    """Cross-multiplied difference of two rules (the tests' reference)."""
     lcm = mono_lcm(r1.lead, r2.lead)
     a = r1.poly().mul_monomial(mono_div(lcm, r1.lead))
     b = r2.poly().mul_monomial(mono_div(lcm, r2.lead))
@@ -130,6 +120,14 @@ def check_reducing_family(rules: dict, B: set, lam: int) -> bool:
 # linear echelon with border-preferring pivots
 
 
+def _gamma(cf: ChoiceFunction, p: Polynomial) -> Monomial:
+    """cf.gamma(p); a support the eps filter empties is a degenerate input."""
+    try:
+        return cf.gamma(p)
+    except NoChoosableMonomial as exc:
+        raise DegenerateInputError(str(exc)) from exc
+
+
 def _select_pivot(p: Polynomial, borderset: set, cf: ChoiceFunction) -> Monomial:
     """Pivot of p: a degree-maximal border monomial when one exists (so the
     element can serve as a rewriting rule), the choice-function pick otherwise.
@@ -140,8 +138,8 @@ def _select_pivot(p: Polynomial, borderset: set, cf: ChoiceFunction) -> Monomial
         if len(top_border) == 1:
             return top_border[0]
         restricted = Polynomial(p.field, p.nvars, {m: p.terms[m] for m in top_border})
-        return cf.gamma(restricted)
-    return cf.gamma(p)
+        return _gamma(cf, restricted)
+    return _gamma(cf, p)
 
 
 class _Echelon:
@@ -170,10 +168,7 @@ class _Echelon:
         p = self.reduce(p)
         if p.is_zero():
             return None
-        try:
-            pivot = _select_pivot(p, self.borderset, self.cf)
-        except NoChoosableMonomial as exc:
-            raise DegenerateInputError(str(exc)) from exc
+        pivot = _select_pivot(p, self.borderset, self.cf)
         fld = p.field
         p = p.scale(fld.inv(p.terms[pivot]))
         idx = len(self.elements)
@@ -203,10 +198,7 @@ class _Echelon:
         while pending:
             best_i, best_mag = -1, -1.0
             for i, p in enumerate(pending):
-                try:
-                    pivot = _select_pivot(p, self.borderset, self.cf)
-                except NoChoosableMonomial as exc:
-                    raise DegenerateInputError(str(exc)) from exc
+                pivot = _select_pivot(p, self.borderset, self.cf)
                 mag = p.field.magnitude(p.terms[pivot])
                 if mag > best_mag:
                     best_i, best_mag = i, mag
@@ -404,18 +396,10 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
             # full reduction plus complete coverage rules this out
             raise NotZeroDimensionalError("internal: pending elements despite full coverage")
 
-        # C-polynomial criterion
-        new_constraints = []
-        leads = sorted(rules, key=mono_key)
-        for a in range(len(leads)):
-            for b in range(a + 1, len(leads)):
-                c = _rule_c_polynomial(rules[leads[a]], rules[leads[b]])
-                if c.is_zero() or not c.support() <= Bplus:
-                    continue
-                r = reduce_by_rules(c, rules, B)
-                if not r.is_zero():
-                    new_constraints.append(r)
+        # certificate: a nonzero commutator column is an ideal element in <B>
         result = BorderBasis(B, rules, loops, field, n)
+        ms = build_mult_system(result)
+        new_constraints = [ms.poly_of(col) for _, _, _, col in commutators(ms)]
         if not new_constraints:
             for p in gens:
                 r = result.extended_project(p)
@@ -423,14 +407,11 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
                     new_constraints.append(r)
         if new_constraints:
             pool = _dedupe(pool + new_constraints)
-            shrink = set()
-            for r in new_constraints:
-                shrink.add(cf.gamma(r))
+            shrink = [_gamma(cf, r) for r in new_constraints]
             if one in shrink:
-                bad = next(r for r in new_constraints if cf.gamma(r) == one)
-                raise InconsistentSystemError(bad)
-            blacklist |= shrink
-            B = connected_component_of_one(B - shrink)
+                raise InconsistentSystemError(new_constraints[shrink.index(one)])
+            blacklist.update(shrink)
+            B = connected_component_of_one(B - set(shrink))
             continue
         return result
 

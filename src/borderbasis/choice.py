@@ -8,6 +8,7 @@ condition holds automatically.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .poly import Monomial, Polynomial, mono_size
@@ -41,6 +42,8 @@ class ChoiceFunction:
     def __init__(self, kind: str, seed: int = 0, eps: float = 0.0):
         if kind not in ("drvl", "dlex", "mac", "minsz", "mix"):
             raise ValueError(f"unknown choice function {kind!r}")
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
         self.kind = kind
         self.seed = seed
         self.eps = eps

@@ -176,6 +176,23 @@ def border(B: set) -> set:
     return prolong(B) - set(B)
 
 
+def neighbours(basis, basis_set):
+    """(k, i, j) with i < j for each b = basis[k] where x_i*b or x_j*b lies
+    outside B.
+
+    These are the only columns where M_i M_j - M_j M_i can be nonzero (when
+    both products lie in B, both sides are the column of x_i*x_j*b), and the
+    origins of the commutation syzygies.
+    """
+    for k, b in enumerate(basis):
+        n = len(b)
+        outside = [mono_mul(b, mono_var(n, i)) not in basis_set for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if outside[i] or outside[j]:
+                    yield k, i, j
+
+
 def b_index(m: Monomial, B: set) -> int:
     """Least k with m in B^[k]; requires 1 in B.
 

@@ -7,9 +7,22 @@ certifies that the rewriting rules define a border basis.
 
 from __future__ import annotations
 
-from .border import BorderBasis
+from typing import TYPE_CHECKING
+
 from .fields import FloatField
-from .poly import Monomial, Polynomial, format_monomial, mono_key, mono_mul, mono_one, mono_var
+from .poly import (
+    Monomial,
+    Polynomial,
+    format_monomial,
+    mono_key,
+    mono_mul,
+    mono_one,
+    mono_var,
+    neighbours,
+)
+
+if TYPE_CHECKING:
+    from .border import BorderBasis
 
 
 class NotABorderBasisError(Exception):
@@ -109,43 +122,34 @@ def build_mult_system(bb: BorderBasis) -> MultiplicationSystem:
     return MultiplicationSystem(basis, matrices, f, n)
 
 
-def _commutator_entry(ms: MultiplicationSystem, i, j, col):
-    """Column `col` of M_i M_j - M_j M_i."""
-    a = ms.apply(i, ms.matrices[j][col])
-    b = ms.apply(j, ms.matrices[i][col])
-    f = ms.field
-    return [f.sub(x, y) for x, y in zip(a, b)]
-
-
-def _matrix_norm(ms: MultiplicationSystem, i) -> float:
-    f = ms.field
-    return max(
-        (f.magnitude(c) for col in ms.matrices[i] for c in col),
-        default=0.0,
-    )
-
-
-def check_commutation(ms: MultiplicationSystem):
-    """(ok, first violating (i, j, column) or None).
+def commutators(ms: MultiplicationSystem):
+    """The nonzero columns of M_i M_j - M_j M_i, as (i, j, column index,
+    column), over the `neighbours` columns in their order.
 
     Exact fields compare exactly; the float field uses an entrywise tolerance
     max(eps, 1e-10 * |M_i| * |M_j|) so badly scaled systems do not fail
     spuriously.
     """
     f = ms.field
-    tol = None
     if isinstance(f, FloatField):
-        norms = [_matrix_norm(ms, i) for i in range(ms.nvars)]
-    for i in range(ms.nvars):
-        for j in range(i + 1, ms.nvars):
-            if isinstance(f, FloatField):
-                tol = max(f.eps, 1e-10 * norms[i] * norms[j])
-            for col in range(ms.dimension):
-                diff = _commutator_entry(ms, i, j, col)
-                for entry in diff:
-                    bad = f.magnitude(entry) > tol if tol is not None else not f.is_zero(entry)
-                    if bad:
-                        return False, (i, j, col)
+        norms = [max((f.magnitude(c) for col in m for c in col), default=0.0) for m in ms.matrices]
+    for k, i, j in neighbours(ms.basis, ms.index):
+        a = ms.apply(i, ms.matrices[j][k])
+        b = ms.apply(j, ms.matrices[i][k])
+        diff = [f.sub(x, y) for x, y in zip(a, b)]
+        if isinstance(f, FloatField):
+            tol = max(f.eps, 1e-10 * norms[i] * norms[j])
+            nonzero = any(f.magnitude(c) > tol for c in diff)
+        else:
+            nonzero = not all(f.is_zero(c) for c in diff)
+        if nonzero:
+            yield i, j, k, diff
+
+
+def check_commutation(ms: MultiplicationSystem):
+    """(ok, first violating (i, j, column) or None), as `commutators` finds it."""
+    for i, j, k, _ in commutators(ms):
+        return False, (i, j, k)
     return True, None
 
 

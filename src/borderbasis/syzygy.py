@@ -20,6 +20,7 @@ from .poly import (
     mono_mul,
     mono_size,
     mono_var,
+    neighbours,
 )
 
 KIND_NEXT_DOOR = "next_door"
@@ -106,44 +107,37 @@ def generate_syzygies(bb: BorderBasis):
     f = bb.field
     n = bb.nvars
     out = []
-    for m in bb.basis:
-        for i1 in range(n):
-            for i2 in range(i1 + 1, n):
-                u1 = mono_mul(m, mono_var(n, i1))
-                u2 = mono_mul(m, mono_var(n, i2))
-                in1 = u1 in bb.basis_set
-                in2 = u2 in bb.basis_set
-                if in1 and in2:
-                    continue
-                u12 = mono_mul(u1, mono_var(n, i2))
-                if in1 or in2:
-                    a, ub = (i1, u2) if in1 else (i2, u1)
-                    rho = bb.rules[ub].tail
-                    coeffs = _mono_vec(ub, mono_var(n, a), f, n)
-                    coeffs = _add_vec(coeffs, _const_coeffs(mu(rho, a, bb), bb))
-                    if u12 in bb.basis_set:
-                        kind = KIND_NON_STAIR
-                    else:
-                        kind = KIND_NEXT_DOOR
-                        neg_one = f.neg(f.one)
-                        coeffs = _add_vec(coeffs, _mono_vec(u12, (0,) * n, f, n, neg_one))
-                else:
-                    kind = KIND_ACROSS_STREET
-                    rho1 = bb.rules[u1].tail
-                    rho2 = bb.rules[u2].tail
-                    coeffs = _mono_vec(u2, mono_var(n, i1), f, n)
-                    coeffs = _add_vec(
-                        coeffs, _mono_vec(u1, mono_var(n, i2), f, n, f.neg(f.one))
-                    )
-                    diff = _add_vec(
-                        _const_coeffs({w: f.neg(c) for w, c in mu(rho1, i2, bb).items()}, bb),
-                        _const_coeffs(mu(rho2, i1, bb), bb),
-                    )
-                    coeffs = _add_vec(coeffs, diff)
-                rel = SyzygyRelation(coeffs, kind, (m, i1, i2))
-                if not verify_syzygy(rel, bb):
-                    raise SyzygyError(f"generated relation fails to expand to zero: {rel!r}")
-                out.append(rel)
+    for k, i1, i2 in neighbours(bb.basis, bb.basis_set):
+        m = bb.basis[k]
+        u1 = mono_mul(m, mono_var(n, i1))
+        u2 = mono_mul(m, mono_var(n, i2))
+        in1 = u1 in bb.basis_set
+        u12 = mono_mul(u1, mono_var(n, i2))
+        if in1 or u2 in bb.basis_set:
+            a, ub = (i1, u2) if in1 else (i2, u1)
+            rho = bb.rules[ub].tail
+            coeffs = _mono_vec(ub, mono_var(n, a), f, n)
+            coeffs = _add_vec(coeffs, _const_coeffs(mu(rho, a, bb), bb))
+            if u12 in bb.basis_set:
+                kind = KIND_NON_STAIR
+            else:
+                kind = KIND_NEXT_DOOR
+                coeffs = _add_vec(coeffs, _mono_vec(u12, (0,) * n, f, n, f.neg(f.one)))
+        else:
+            kind = KIND_ACROSS_STREET
+            rho1 = bb.rules[u1].tail
+            rho2 = bb.rules[u2].tail
+            coeffs = _mono_vec(u2, mono_var(n, i1), f, n)
+            coeffs = _add_vec(coeffs, _mono_vec(u1, mono_var(n, i2), f, n, f.neg(f.one)))
+            diff = _add_vec(
+                _const_coeffs({w: f.neg(c) for w, c in mu(rho1, i2, bb).items()}, bb),
+                _const_coeffs(mu(rho2, i1, bb), bb),
+            )
+            coeffs = _add_vec(coeffs, diff)
+        rel = SyzygyRelation(coeffs, kind, (m, i1, i2))
+        if not verify_syzygy(rel, bb):
+            raise SyzygyError(f"generated relation fails to expand to zero: {rel!r}")
+        out.append(rel)
     return out
 
 

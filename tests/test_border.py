@@ -12,17 +12,18 @@ from borderbasis import (
 from borderbasis.border import (
     NotReducibleError,
     RewritingRule,
-    c_polynomial,
+    _rule_c_polynomial,
     check_reducing_family,
     interreduce,
     reduce_by_rules,
 )
-from borderbasis.poly import mono_key, mono_lcm, mono_size
+from borderbasis.poly import border, mono_key, stable_by_division
 
 from conftest import (
     compute,
     exhaustive_rewrite,
     poly_of,
+    random_poly,
     random_regular_system,
     seeded,
 )
@@ -62,8 +63,6 @@ def test_reduce_missing_rule(qq):
 def test_reduce_is_linear(qq):
     rules = reference_rules(qq)
     rng = seeded(5)
-    from borderbasis.poly import border
-
     Bplus = sorted(REFERENCE_B | border(REFERENCE_B), key=mono_key)
     for _ in range(20):
         p = Polynomial(qq, 2, {m: qq.from_int(rng.randint(-5, 5)) for m in Bplus})
@@ -80,14 +79,6 @@ def test_check_reducing_family(qq):
     del incomplete[(2, 1)]
     assert not check_reducing_family(incomplete, REFERENCE_B, 3)
     assert check_reducing_family({}, {(0, 0)}, 0)
-
-
-def test_c_polynomial(qq, mac):
-    f = poly_of("x0^2 - 1", qq)
-    g = poly_of("x1^2 - x1", qq)
-    assert c_polynomial(f, f, mac).is_zero()
-    assert c_polynomial(f, g, mac) == poly_of("x0^2*x1 - x1^2", qq)
-    assert mono_size(mono_lcm(mac.gamma(f), mac.gamma(g))) == 4
 
 
 def test_interreduce(qq, mac):
@@ -227,3 +218,74 @@ def test_float_field_basis(f64, mac):
     ms = build_mult_system(bb)
     ok, _ = check_commutation(ms)
     assert ok
+
+
+# Over f64 an absolute eps on C-polynomial residues once shrank B wrongly:
+# A raised InconsistentSystemError, B exceeded the loop guard and C returned
+# a 2-element basis that passed commutation.
+FLOAT_SYSTEMS = [
+    pytest.param(
+        "minsz",
+        18,
+        [
+            "1 - 2*x2^2 - 3*x1*x2 - x1^2 - x0 - x0*x1",
+            "3 - 3*x2 + 2*x2^3 - x1*x2 + 3*x1^2*x2 - x1^3 - 3*x0*x1 - 2*x0*x1*x2"
+            " - 3*x0*x1^2 - 3*x0^2 - x0^3",
+            "x2 + 2*x1*x2 - x1*x2^2 - x1^3 - 2*x0*x2 + 3*x0*x1*x2 - 2*x0^2 - x0^2*x1 + 3*x0^3",
+        ],
+        id="A",
+    ),
+    pytest.param(
+        "mix:3",
+        12,
+        [
+            "-3 + 2*x2^2 - 2*x1 - x1*x2^2 + x1^2 + 3*x0*x2 + 3*x0^2*x2",
+            "-x2^2 - 3*x1 + 2*x0^2",
+            "x2^2 + 3*x1 + x1*x2 - x1^2 + x0*x1 + 2*x0^2",
+        ],
+        id="B",
+    ),
+    pytest.param(
+        "mix:3",
+        12,
+        [
+            "-3*x1 - x1*x2^2 - 2*x1^2 + x0*x2 + x0*x2^2 - 2*x0*x1 + 3*x0*x1*x2 + x0*x1^2"
+            " - 2*x0^2*x2",
+            "-x1^2 + 3*x0*x1 + 3*x0^2",
+            "-x2^2 - 3*x1*x2 + 3*x0 - 2*x0*x2",
+        ],
+        id="C",
+    ),
+]
+
+
+@pytest.mark.parametrize("choice, dim, srcs", FLOAT_SYSTEMS)
+def test_float_dimension_matches_qq(qq, f64, choice, dim, srcs):
+    assert compute(srcs, qq, nvars=3, choice=choice).dimension == dim
+    assert compute(srcs, f64, nvars=3, choice=choice).dimension == dim
+
+
+def test_non_order_ideal_bases_are_certified(fp):
+    # dense random systems give some B connected to 1 that are not order
+    # ideals; there the pairs of rules alone do not cover every neighbour
+    rng = seeded(7)
+    non_order_ideal = 0
+    for _ in range(24):
+        n = rng.randint(2, 3)
+        polys = [random_poly(rng, fp, n, rng.randint(2, 3)) for _ in range(n + rng.randint(0, 1))]
+        for choice in ("drvl", "dlex", "mac", "minsz", "mix:1"):
+            try:
+                bb = compute_border_basis(polys, parse_choice(choice))
+            except (InconsistentSystemError, NotZeroDimensionalError):
+                continue
+            ok, witness = check_commutation(build_mult_system(bb))
+            assert ok, witness
+            Bplus = bb.basis_set | border(bb.basis_set)
+            leads = sorted(bb.rules, key=mono_key)
+            for a, lead in enumerate(leads):
+                for other in leads[a + 1 :]:
+                    c = _rule_c_polynomial(bb.rules[lead], bb.rules[other])
+                    if c.support() <= Bplus:
+                        assert reduce_by_rules(c, bb.rules, bb.basis_set).is_zero()
+            non_order_ideal += not stable_by_division(bb.basis_set)
+    assert non_order_ideal > 0

@@ -165,3 +165,6 @@ def test_parse_choice_strings():
     assert parse_choice("mac").kind == "mac"
     with pytest.raises(ValueError):
         parse_choice("mystery")
+    for eps in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError):
+            parse_choice("mac", eps=eps)

@@ -134,9 +134,27 @@ def test_cli_solve_prime_field_is_numeric_error(capsys, tmp_path):
     assert main(["solve", str(path)]) == 3
 
 
-@pytest.mark.parametrize("spec", ["f64:nan", "f64:inf"])
-def test_cli_rejects_non_finite_eps(capsys, spec):
-    assert main(["katsura", "-n", "3", "--field", spec, "--json", "basis"]) == 1
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--field", "f64:nan"], id="f64:nan"),
+        pytest.param(["--field", "f64:inf"], id="f64:inf"),
+        pytest.param(["--eps", "nan"], id="eps:nan"),
+        pytest.param(["--eps", "inf"], id="eps:inf"),
+        pytest.param(["--eps", "-1"], id="eps:-1"),
+    ],
+)
+def test_cli_rejects_non_finite_eps(capsys, flags):
+    assert main(["katsura", "-n", "3", *flags, "--json", "basis"]) == 1
+
+
+def test_cli_eps_filter_failure_is_not_a_parse_error(capsys, tmp_path):
+    # the choice filter drops every coefficient of a residue the stop check
+    # finds: a computation failure, not a parse error
+    path = tmp_path / "sys.txt"
+    path.write_text("ring x0 x1 over qq\nx0^3 + x1 - 3*x1^2\nx1^3 + 1 + 4*x1 + x0*x1\n")
+    for choice in ("mac", "drvl", "dlex", "minsz"):
+        assert main(["basis", "--choice", choice, "--eps", "2", str(path)]) == 2
 
 
 def test_cli_usage_error_exits_1(capsys, sysfile):

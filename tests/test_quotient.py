@@ -8,7 +8,7 @@ from borderbasis import (
     normal_form,
 )
 from borderbasis.border import BorderBasis
-from borderbasis.quotient import ideal_member
+from borderbasis.quotient import commutators, ideal_member
 
 from conftest import (
     compute,
@@ -66,6 +66,11 @@ def test_printed_family_fails_commutation(qq, mac):
     ok, witness = check_commutation(ms)
     assert not ok
     assert witness is not None
+    # the paper's witness, which the C-polynomial of the two degree-3 rules
+    # also reaches (acceptance 1)
+    expected = poly_of("x0*x1 - x1", qq)
+    columns = [ms.poly_of(col) for _, _, _, col in commutators(ms)]
+    assert any(c.scale(qq.inv(c.terms[(1, 1)])) == expected for c in columns)
 
 
 def test_normal_form_basics(qq, mac):
