@@ -28,7 +28,7 @@ from .poly import (
     mono_size,
     mono_var,
 )
-from .quotient import build_mult_system, commutators
+from .quotient import build_mult_system, commutators, normal_form
 
 
 class NotReducibleError(Exception):
@@ -84,7 +84,8 @@ class RewritingRule:
 
 
 def reduce_by_rules(p: Polynomial, rules: dict, B: set) -> Polynomial:
-    """The projection pi_F of p onto <B>; p must be supported in B+.
+    """The projection pi_F of p onto <B> through the rules (the tests'
+    reference for `normal_form`); p must be supported in B+.
 
     Raises NotReducibleError when a border monomial has no rule.
     """
@@ -143,7 +144,7 @@ def _select_pivot(p: Polynomial, borderset: set, cf: ChoiceFunction) -> Monomial
 
 
 class _Echelon:
-    """Fully interreduced list of monic polynomials with distinct pivots."""
+    """Reduced echelon list of monic polynomials with distinct pivots."""
 
     def __init__(self, borderset: set, cf: ChoiceFunction):
         self.borderset = borderset
@@ -211,30 +212,6 @@ class _Echelon:
         return inserted
 
 
-def interreduce(polys, B: set, cf: ChoiceFunction):
-    """Linear basis of the span with at most one border monomial per element.
-
-    Returns (rules, witnesses, pending): rules are elements with exactly one
-    border monomial (their lead), witnesses have all support in B, pending
-    elements still carry several border monomials (they resolve once the
-    missing rules exist).
-    """
-    B = set(B)
-    borderset = border(B)
-    ech = _Echelon(borderset, cf)
-    ech.insert_batch(list(polys))
-    rules, witnesses, pending = [], [], []
-    for e in ech.elements:
-        in_border = [m for m in e.terms if m in borderset]
-        if not in_border:
-            witnesses.append(e)
-        elif len(in_border) == 1:
-            rules.append(RewritingRule.from_poly(e, in_border[0]))
-        else:
-            pending.append(e)
-    return rules, witnesses, pending
-
-
 # ---------------------------------------------------------------------------
 # the fixed-point computation
 
@@ -249,33 +226,10 @@ class BorderBasis:
         self.loops = loops
         self.field = field
         self.nvars = nvars
-        self._ext_cache = {m: Polynomial.monomial(field, nvars, m) for m in self.basis}
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def reduce(self, p: Polynomial) -> Polynomial:
-        """pi_F on <B+>."""
-        return reduce_by_rules(p, self.rules, self.basis_set)
-
-    def extended_project_monomial(self, m: Monomial) -> Polynomial:
-        """pi^e_F on a single monomial, peeling the leftmost variable."""
-        cached = self._ext_cache.get(m)
-        if cached is not None:
-            return cached
-        i = next(k for k, e in enumerate(m) if e > 0)
-        sub = self.extended_project_monomial(mono_div(m, mono_var(self.nvars, i)))
-        out = self.reduce(sub.mul_monomial(mono_var(self.nvars, i)))
-        self._ext_cache[m] = out
-        return out
-
-    def extended_project(self, p: Polynomial) -> Polynomial:
-        """pi^e_F extended to polynomials by linearity."""
-        acc = Polynomial.zero(self.field, self.nvars)
-        for m in sorted(p.terms, key=mono_key):
-            acc = acc.add(self.extended_project_monomial(m).scale(p.terms[m]))
-        return acc
 
     def rule_polys(self):
         return [self.rules[m].poly() for m in sorted(self.rules, key=mono_key)]
@@ -402,7 +356,7 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
         new_constraints = [ms.poly_of(col) for _, _, _, col in commutators(ms)]
         if not new_constraints:
             for p in gens:
-                r = result.extended_project(p)
+                r = normal_form(p, ms, result)
                 if not r.is_zero():
                     new_constraints.append(r)
         if new_constraints:

@@ -14,9 +14,9 @@ from .poly import (
     Monomial,
     Polynomial,
     format_monomial,
+    mono_div,
     mono_key,
     mono_mul,
-    mono_one,
     mono_var,
     neighbours,
 )
@@ -156,34 +156,29 @@ def check_commutation(ms: MultiplicationSystem):
 def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Polynomial:
     """The unique projection of K[x] onto <B> with kernel the ideal.
 
-    Computed through multiplication-matrix products; commutation must have
-    been verified so the variable order is irrelevant.
+    A monomial's coordinates are M_i applied to those of the monomial with
+    its leftmost variable x_i peeled off; commutation must have been verified
+    so the variable order is irrelevant.  The coordinates are memoized for
+    this call only, so a query costs the same whatever was asked before.
     """
     f = ms.field
-    D = ms.dimension
-    one_vec = [f.zero] * D
-    one_vec[ms.index[mono_one(ms.nvars)]] = f.one
-    acc = [f.zero] * D
-    cache: dict[Monomial, list] = {}
+    memo: dict[Monomial, list] = {}
 
     def vec_of_monomial(m: Monomial):
-        if m in cache:
-            return cache[m]
-        if sum(m) == 0:
-            cache[m] = one_vec
-            return one_vec
-        i = next(k for k, e in enumerate(m) if e > 0)
-        prev = vec_of_monomial(tuple(e - (k == i) for k, e in enumerate(m)))
-        v = ms.apply(i, prev)
-        cache[m] = v
+        v = memo.get(m)
+        if v is None:
+            j = ms.index.get(m)
+            if j is None:
+                i = next(k for k, e in enumerate(m) if e > 0)
+                v = ms.apply(i, vec_of_monomial(mono_div(m, mono_var(ms.nvars, i))))
+            else:
+                v = [f.zero] * ms.dimension
+                v[j] = f.one
+            memo[m] = v
         return v
 
+    acc = [f.zero] * ms.dimension
     for m in sorted(p.terms, key=mono_key):
         c = p.terms[m]
-        v = vec_of_monomial(m)
-        acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, v)]
+        acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, vec_of_monomial(m))]
     return ms.poly_of(acc)
-
-
-def ideal_member(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> bool:
-    return normal_form(p, ms, bb).is_zero()

@@ -22,6 +22,7 @@ from .poly import (
     mono_var,
     neighbours,
 )
+from .quotient import MultiplicationSystem, build_mult_system, normal_form
 
 KIND_NEXT_DOOR = "next_door"
 KIND_NON_STAIR = "non_stair"
@@ -145,11 +146,13 @@ def generate_syzygies(bb: BorderBasis):
 # reduction of arbitrary syzygies modulo the commutation generators
 
 
-def _decomposition_vector(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
+def _decomposition_vector(
+    m: Monomial, theta: Monomial, bb: BorderBasis, ms: MultiplicationSystem
+) -> dict:
     """Syzygy-vector T with Sum T_w f_w = m*theta - pi^e(m*theta).
 
     Built by peeling the leftmost variable of m; T has the term m*e_theta
-    plus lower-degree mu contributions.
+    plus lower-degree mu contributions.  ``ms`` holds the matrices of ``bb``.
     """
     n = bb.nvars
     f = bb.field
@@ -157,9 +160,9 @@ def _decomposition_vector(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict
         return _mono_vec(theta, (0,) * n, f, n)
     i = next(k for k, e in enumerate(m) if e > 0)
     m_prev = mono_div(m, mono_var(n, i))
-    prev = _decomposition_vector(m_prev, theta, bb)
+    prev = _decomposition_vector(m_prev, theta, bb, ms)
     shifted = {w: h.mul_monomial(mono_var(n, i)) for w, h in prev.items()}
-    inner = bb.extended_project_monomial(mono_mul(m_prev, theta))
+    inner = normal_form(Polynomial.monomial(f, n, mono_mul(m_prev, theta)), ms, bb)
     return _add_vec(shifted, _const_coeffs(mu(inner, i, bb), bb))
 
 
@@ -187,6 +190,7 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
     if not verify_syzygy(coeffs, bb):
         raise SyzygyError("input is not a syzygy: Sum h_w f_w != 0")
     f = bb.field
+    ms = build_mult_system(bb)
     residual = {w: h for w, h in coeffs.items() if not h.is_zero()}
 
     def terms():
@@ -211,12 +215,12 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
                     offender = (m, w, lam, u, delta)
         if offender is not None:
             m, w, lam, u, delta = offender
-            exchange = _decomposition_vector(m, w, bb)
+            exchange = _decomposition_vector(m, w, bb, ms)
             if delta > 0:
                 m2, w2 = _exchange_partner(u, bb)
                 exchange = _add_vec(
                     exchange,
-                    _scale_vec(_decomposition_vector(m2, w2, bb), f.neg(f.one), f),
+                    _scale_vec(_decomposition_vector(m2, w2, bb, ms), f.neg(f.one), f),
                 )
             # exchange is a syzygy whose leading term is m*e_w
             residual = _add_vec(residual, _scale_vec(exchange, f.neg(lam), f))
@@ -237,8 +241,8 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
         _, u, entries = pair_u
         (m, w, lam), (m2, w2, _) = entries[0], entries[1]
         exchange = _add_vec(
-            _decomposition_vector(m, w, bb),
-            _scale_vec(_decomposition_vector(m2, w2, bb), f.neg(f.one), f),
+            _decomposition_vector(m, w, bb, ms),
+            _scale_vec(_decomposition_vector(m2, w2, bb, ms), f.neg(f.one), f),
         )
         residual = _add_vec(residual, _scale_vec(exchange, f.neg(lam), f))
     raise SyzygyError("reduction did not terminate within the step limit")

@@ -7,14 +7,15 @@ from borderbasis import (
     check_commutation,
     compute_border_basis,
     build_mult_system,
+    normal_form,
     parse_choice,
 )
 from borderbasis.border import (
     NotReducibleError,
     RewritingRule,
     _rule_c_polynomial,
+    _Echelon,
     check_reducing_family,
-    interreduce,
     reduce_by_rules,
 )
 from borderbasis.poly import border, mono_key, stable_by_division
@@ -84,18 +85,20 @@ def test_check_reducing_family(qq):
 def test_interreduce(qq, mac):
     B = {(0,), (1,)}
     P = [poly_of("x0^2 - 1", qq, 1), poly_of("x0^2 - x0", qq, 1)]
-    rules, witnesses, pending = interreduce(P, B, mac)
-    assert len(rules) == 1 and rules[0].lead == (2,)
-    assert len(witnesses) == 1
-    assert witnesses[0].support() <= B
-    assert not pending
+    ech = _Echelon(border(B), mac)
+    ech.insert_batch(P)
+    assert len(ech.elements) == 2
+    # one rule with lead x0^2, one witness with its support in B
+    assert ech.elements[ech.pivot_of[(2,)]].support() - B == {(2,)}
+    assert sum(e.support() <= B for e in ech.elements) == 1
 
 
 def test_interreduce_dependent(qq, mac):
     B = {(0, 0), (1, 0)}
     p = poly_of("x0^2 - x0", qq)
-    rules, witnesses, pending = interreduce([p, p.scale(qq.from_int(2))], B, mac)
-    assert len(rules) == 1 and not witnesses and not pending
+    ech = _Echelon(border(B), mac)
+    assert len(ech.insert_batch([p, p.scale(qq.from_int(2))])) == 1
+    assert ech.elements[0].support() - B == {(2, 0)}
 
 
 def test_univariate_basis(qq, mac):
@@ -146,20 +149,21 @@ def test_monomial_ideal_high_socle(qq, mac):
 
 def test_extended_project_reference(qq, mac):
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
-    assert bb.extended_project_monomial((2, 2)) == poly_of("x1", qq)
-    assert bb.extended_project_monomial((3, 0)) == poly_of("x0", qq)
+    ms = build_mult_system(bb)
+    assert normal_form(poly_of("x0^2*x1^2", qq), ms, bb) == poly_of("x1", qq)
+    assert normal_form(poly_of("x0^3", qq), ms, bb) == poly_of("x0", qq)
     for b in bb.basis:
-        assert bb.extended_project_monomial(b) == Polynomial.monomial(qq, 2, b)
+        p = Polynomial.monomial(qq, 2, b)
+        assert normal_form(p, ms, bb) == p
 
 
 def test_extended_project_matches_rewriting_oracle(qq, mac):
     rng = seeded(17)
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
-    from conftest import random_poly
-
+    ms = build_mult_system(bb)
     for _ in range(25):
         p = random_poly(rng, qq, 2, 5)
-        assert bb.extended_project(p) == exhaustive_rewrite(p, bb)
+        assert normal_form(p, ms, bb) == exhaustive_rewrite(p, bb)
 
 
 def test_generators_reduce_to_zero(fp, mac):
@@ -167,8 +171,9 @@ def test_generators_reduce_to_zero(fp, mac):
     for _ in range(15):
         polys, _ = random_regular_system(rng, fp, rng.randint(1, 3), 3)
         bb = compute_border_basis(polys, mac.clone())
+        ms = build_mult_system(bb)
         for p in polys:
-            assert bb.extended_project(p).is_zero()
+            assert normal_form(p, ms, bb).is_zero()
 
 
 def test_determinism(fp):

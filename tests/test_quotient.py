@@ -8,7 +8,7 @@ from borderbasis import (
     normal_form,
 )
 from borderbasis.border import BorderBasis
-from borderbasis.quotient import commutators, ideal_member
+from borderbasis.quotient import commutators
 
 from conftest import (
     compute,
@@ -94,9 +94,9 @@ def test_ideal_member(qq, mac):
     ms = build_mult_system(bb)
     f1, f2 = poly_of("x0^2 - 1", qq), poly_of("x1^2 - x1", qq)
     combo = f1.mul_monomial((1, 0)).add(f2)
-    assert ideal_member(combo, ms, bb)
-    assert not ideal_member(poly_of("1", qq), ms, bb)
-    assert not ideal_member(poly_of("x0*x1 - x1", qq), ms, bb)
+    assert normal_form(combo, ms, bb).is_zero()
+    assert not normal_form(poly_of("1", qq), ms, bb).is_zero()
+    assert not normal_form(poly_of("x0*x1 - x1", qq), ms, bb).is_zero()
 
 
 def test_normal_form_operator_consistency(fp, mac):
@@ -129,6 +129,23 @@ def test_normal_form_matches_oracle_small(qq, mac):
     for _ in range(10):
         p = random_poly(rng, qq, 2, 4)
         assert normal_form(p, ms, bb) == oracle_normal_form(p, bb)
+
+
+@pytest.mark.parametrize("field_name", ["qq", "fp"])
+def test_normal_form_history_independent(request, mac, field_name):
+    # many queries against one ms: each answer must be the one a fresh ms
+    # gives, whatever was asked before and in whatever order
+    field = request.getfixturevalue(field_name)
+    rng = seeded(53)
+    polys, _ = random_regular_system(rng, field, 2, 3)
+    bb = compute_border_basis(polys, mac.clone())
+    queries = [random_poly(rng, field, 2, 5) for _ in range(20)]
+    shared = build_mult_system(bb)
+    for p in queries + queries[::-1]:
+        nf = normal_form(p, shared, bb)
+        assert nf == normal_form(p, build_mult_system(bb), bb)
+        if field_name == "qq":
+            assert nf == oracle_normal_form(p, bb)
 
 
 def test_matrix_json_round(qq, mac):
