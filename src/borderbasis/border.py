@@ -154,11 +154,7 @@ class _Echelon:
 
     def reduce(self, p: Polynomial) -> Polynomial:
         while True:
-            hit = None
-            for m in sorted(p.terms, key=mono_key, reverse=True):
-                if m in self.pivot_of:
-                    hit = m
-                    break
+            hit = max((m for m in p.terms if m in self.pivot_of), key=mono_key, default=None)
             if hit is None:
                 return p
             e = self.elements[self.pivot_of[hit]]
@@ -217,7 +213,13 @@ class _Echelon:
 
 
 class BorderBasis:
-    """A verified border basis: quotient basis B and rules covering its border."""
+    """A verified border basis: quotient basis B, rules covering its border,
+    and ``ms``, the multiplication system they define (built once here; the
+    certificate, the projection and the syzygies all read it).
+
+    Raises NotABorderBasisError when some x_i*b has neither a place in B nor
+    a rule.
+    """
 
     def __init__(self, B, rules: dict, loops: int, field, nvars: int):
         self.basis = sorted(B, key=mono_key)
@@ -226,6 +228,7 @@ class BorderBasis:
         self.loops = loops
         self.field = field
         self.nvars = nvars
+        self.ms = build_mult_system(self)
 
     @property
     def dimension(self) -> int:
@@ -352,7 +355,7 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
 
         # certificate: a nonzero commutator column is an ideal element in <B>
         result = BorderBasis(B, rules, loops, field, n)
-        ms = build_mult_system(result)
+        ms = result.ms
         new_constraints = [ms.poly_of(col) for _, _, _, col in commutators(ms)]
         if not new_constraints:
             for p in gens:

@@ -30,7 +30,7 @@ from .poly import (
     parse_polynomial,
     parse_system,
 )
-from .quotient import NotABorderBasisError, build_mult_system, normal_form
+from .quotient import NotABorderBasisError, normal_form
 from .solve import SolveError, eigen_roots
 from .syzygy import generate_syzygies
 from .systems import KATSURA_FORMULA, gen_katsura
@@ -82,13 +82,6 @@ def _choice(args):
 def _compute(args, polys, timer):
     with timer.measure("basis"):
         return compute_border_basis(polys, _choice(args))
-
-
-def _mult(bb, timer):
-    # compute_border_basis returns only bases whose matrices commute, so the
-    # reports state "commutation": true without checking again
-    with timer.measure("matrices"):
-        return build_mult_system(bb)
 
 
 def _base_report(args, text, varnames, field, bb):
@@ -143,10 +136,10 @@ def _dump_matrices(args, ms, varnames):
 def _run_basis(args, text, varnames, field, polys):
     timer = _Timer()
     bb = _compute(args, polys, timer)
-    ms = _mult(bb, timer)
-    _dump_matrices(args, ms, varnames)
+    _dump_matrices(args, bb.ms, varnames)
     report = _base_report(args, text, varnames, field, bb)
     report["rules"] = bb.to_json_dict(varnames)["rules"]
+    # compute_border_basis returns only bases whose matrices commute
     report["commutation"] = True
     if args.syzygies:
         with timer.measure("syzygies"):
@@ -165,10 +158,9 @@ def _run_basis(args, text, varnames, field, polys):
 def _run_matrices(args, text, varnames, field, polys):
     timer = _Timer()
     bb = _compute(args, polys, timer)
-    ms = _mult(bb, timer)
-    _dump_matrices(args, ms, varnames)
+    _dump_matrices(args, bb.ms, varnames)
     report = _base_report(args, text, varnames, field, bb)
-    report["matrices"] = ms.to_json_dict(varnames)["matrices"]
+    report["matrices"] = bb.ms.to_json_dict(varnames)["matrices"]
     report["commutation"] = True
     lines = [f"basis ({bb.dimension}): " + " ".join(report["basis"])]
     for v, rows in report["matrices"].items():
@@ -198,9 +190,8 @@ def _run_syzygies(args, text, varnames, field, polys):
 def _run_solve(args, text, varnames, field, polys):
     timer = _Timer()
     bb = _compute(args, polys, timer)
-    ms = _mult(bb, timer)
     with timer.measure("eigen"):
-        rs = eigen_roots(ms, seed=args.seed, polys=polys)
+        rs = eigen_roots(bb.ms, seed=args.seed, polys=polys)
     report = _base_report(args, text, varnames, field, bb)
     report.update(rs.to_json_dict())
     lines = []
@@ -215,11 +206,10 @@ def _run_solve(args, text, varnames, field, polys):
 def _run_normalform(args, text, varnames, field, polys):
     timer = _Timer()
     bb = _compute(args, polys, timer)
-    ms = _mult(bb, timer)
     results = []
     for src in args.poly:
         p = parse_polynomial(src, varnames, field)
-        nf = normal_form(p, ms, bb)
+        nf = normal_form(p, bb.ms, bb)
         results.append({"input": src, "normal_form": format_poly(nf, varnames)})
     report = _base_report(args, text, varnames, field, bb)
     report["normal_forms"] = results

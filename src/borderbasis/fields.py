@@ -75,6 +75,10 @@ class Field:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
+    def normalize(self, a):
+        """The element a sum of products formed with + and * stands for (Z/p reduces)."""
+        return a
+
     def magnitude(self, a) -> float:
         """|a| as a float, used for thresholding and pivot selection."""
         raise NotImplementedError
@@ -182,6 +186,9 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def normalize(self, a):
+        return a % self.p
 
     def magnitude(self, a):
         return 0.0 if a % self.p == 0 else 1.0

@@ -92,9 +92,6 @@ class Polynomial:
     def support(self):
         return set(self.terms)
 
-    def sorted_monomials(self):
-        return sorted(self.terms, key=mono_key)
-
     def coeff(self, m):
         return self.terms.get(m, self.field.zero)
 

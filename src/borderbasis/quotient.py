@@ -33,7 +33,8 @@ class MultiplicationSystem:
     """The n multiplication-by-variable matrices on an ordered basis B.
 
     Matrices are dense, stored column-major: ``matrices[i][j]`` is the
-    coordinate vector of the reduction of x_i * B[j].
+    coordinate vector of the reduction of x_i * B[j].  ``apply`` walks their
+    nonzero entries and normalizes each coordinate once (``Field.normalize``).
     """
 
     def __init__(self, basis, matrices, field, nvars):
@@ -42,6 +43,9 @@ class MultiplicationSystem:
         self.matrices = matrices
         self.field = field
         self.nvars = nvars
+        self._entries = [
+            [[(k, c) for k, c in enumerate(col) if c != field.zero] for col in m] for m in matrices
+        ]
 
     @property
     def dimension(self) -> int:
@@ -50,16 +54,13 @@ class MultiplicationSystem:
     def apply(self, i: int, vec):
         """M_i applied to a coordinate vector."""
         f = self.field
-        D = self.dimension
-        out = [f.zero] * D
-        for j in range(D):
-            c = vec[j]
+        out = [f.zero] * self.dimension
+        for c, col in zip(vec, self._entries[i]):
             if f.is_zero(c):
                 continue
-            col = self.matrices[i][j]
-            for k in range(D):
-                out[k] = f.add(out[k], f.mul(c, col[k]))
-        return out
+            for k, a in col:
+                out[k] += c * a
+        return [f.normalize(x) for x in out]
 
     def vector_of(self, p: Polynomial):
         """Coordinates of a polynomial supported in B."""
@@ -70,13 +71,7 @@ class MultiplicationSystem:
         return out
 
     def poly_of(self, vec) -> Polynomial:
-        return Polynomial(
-            self.field, self.nvars, {self.basis[j]: c for j, c in enumerate(vec)}
-        )
-
-    def row_major(self, i: int):
-        D = self.dimension
-        return [[self.matrices[i][j][k] for j in range(D)] for k in range(D)]
+        return Polynomial(self.field, self.nvars, dict(zip(self.basis, vec)))
 
     def to_json_dict(self, varnames=None):
         if varnames is None:
@@ -87,7 +82,7 @@ class MultiplicationSystem:
             "field": f.name,
             "basis": [format_monomial(m, varnames) for m in self.basis],
             "matrices": {
-                varnames[i]: [[f.to_str(c) for c in row] for row in self.row_major(i)]
+                varnames[i]: [[f.to_str(c) for c in row] for row in zip(*self.matrices[i])]
                 for i in range(self.nvars)
             },
         }
@@ -180,5 +175,5 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
     acc = [f.zero] * ms.dimension
     for m in sorted(p.terms, key=mono_key):
         c = p.terms[m]
-        acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, vec_of_monomial(m))]
-    return ms.poly_of(acc)
+        acc = [x + c * y for x, y in zip(acc, vec_of_monomial(m))]
+    return ms.poly_of([f.normalize(x) for x in acc])

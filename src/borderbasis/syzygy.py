@@ -1,10 +1,19 @@
 """Commutation syzygies of a border basis.
 
-For each basis monomial m and variable pair the membership pattern of
-(x_i1*m, x_i2*m, x_i1*x_i2*m) in B / border(B) yields one of three relation
-kinds (next-door, non-stair, across-the-street).  These generate the whole
-syzygy module; reduce_syzygy implements the descent that rewrites any syzygy
-to zero modulo them.
+The generators are the commutation relations, lifted.  For each neighbour
+column (k, i, j) of `poly.neighbours`, with b = B[k], u1 = x_i*b and
+u2 = x_j*b, let c_i and c_j be the polynomials of column k of M_i and M_j
+(x_i*b = c_i + f_u1 and x_j*b = c_j + f_u2, a term f_u absent when u lies in
+B).  Then
+
+    x_i*e_u2 - x_j*e_u1 - mu^j(c_i) + mu^i(c_j)
+
+has Sum h_w f_w = pi(x_j c_i) - pi(x_i c_j), minus the column k of
+M_i M_j - M_j M_i, so it is a syzygy exactly when that column vanishes.  It
+is negated when u2 lies in B, so the term x_j*e_u1 leads.  Whether u1, u2 and
+x_i*x_j*b lie in B only labels the relation: next-door, non-stair or
+across-the-street.  These generate the whole syzygy module; reduce_syzygy
+implements the descent that rewrites any syzygy to zero modulo them.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from .poly import (
     mono_var,
     neighbours,
 )
-from .quotient import MultiplicationSystem, build_mult_system, normal_form
+from .quotient import normal_form
 
 KIND_NEXT_DOOR = "next_door"
 KIND_NON_STAIR = "non_stair"
@@ -78,19 +87,17 @@ def _scale_vec(a: dict, c, field) -> dict:
     return {w: h.scale(c) for w, h in a.items() if not field.is_zero(c)}
 
 
-def _mono_vec(w: Monomial, m: Monomial, field, nvars, c=None) -> dict:
-    return {w: Polynomial.monomial(field, nvars, m, c)}
-
-
 def expand_syzygy(coeffs: dict, bb: BorderBasis) -> Polynomial:
     """Sum h_w f_w as a polynomial."""
-    acc = Polynomial.zero(bb.field, bb.nvars)
+    f = bb.field
+    products = []
     for w, h in coeffs.items():
         rule = bb.rules.get(w)
         if rule is None:
             raise SyzygyError(f"coefficient indexed by non-border monomial {w}")
-        acc = acc.add(h.mul(rule.poly()))
-    return acc
+        g = rule.poly().terms.items()
+        products += [(mono_mul(a, b), f.mul(c, d)) for a, c in h.terms.items() for b, d in g]
+    return Polynomial.from_terms(f, bb.nvars, products)
 
 
 def verify_syzygy(coeffs, bb: BorderBasis) -> bool:
@@ -101,41 +108,42 @@ def verify_syzygy(coeffs, bb: BorderBasis) -> bool:
 
 
 def generate_syzygies(bb: BorderBasis):
-    """The next-door / non-stair / across-the-street generators.
+    """The lifted commutator columns, one per `neighbours` column (see the
+    module docstring), labelled next-door / non-stair / across-the-street.
 
     Every emitted relation is re-verified symbolically (fail-fast).
     """
     f = bb.field
     n = bb.nvars
+    ms = bb.ms
+    minus_one = f.neg(f.one)
     out = []
-    for k, i1, i2 in neighbours(bb.basis, bb.basis_set):
-        m = bb.basis[k]
-        u1 = mono_mul(m, mono_var(n, i1))
-        u2 = mono_mul(m, mono_var(n, i2))
-        in1 = u1 in bb.basis_set
-        u12 = mono_mul(u1, mono_var(n, i2))
-        if in1 or u2 in bb.basis_set:
-            a, ub = (i1, u2) if in1 else (i2, u1)
-            rho = bb.rules[ub].tail
-            coeffs = _mono_vec(ub, mono_var(n, a), f, n)
-            coeffs = _add_vec(coeffs, _const_coeffs(mu(rho, a, bb), bb))
-            if u12 in bb.basis_set:
-                kind = KIND_NON_STAIR
-            else:
-                kind = KIND_NEXT_DOOR
-                coeffs = _add_vec(coeffs, _mono_vec(u12, (0,) * n, f, n, f.neg(f.one)))
-        else:
+    for k, i, j in neighbours(bb.basis, bb.basis_set):
+        b = bb.basis[k]
+        u1 = mono_mul(b, mono_var(n, i))
+        u2 = mono_mul(b, mono_var(n, j))
+        in1, in2 = u1 in bb.basis_set, u2 in bb.basis_set
+        coeffs = {}
+        if not in2:
+            coeffs[u2] = Polynomial.monomial(f, n, mono_var(n, i))
+        if not in1:
+            coeffs[u1] = Polynomial.monomial(f, n, mono_var(n, j), minus_one)
+        c_i = ms.poly_of(ms.matrices[i][k])
+        c_j = ms.poly_of(ms.matrices[j][k])
+        lifted = _add_vec(
+            _const_coeffs({w: f.neg(c) for w, c in mu(c_i, j, bb).items()}, bb),
+            _const_coeffs(mu(c_j, i, bb), bb),
+        )
+        coeffs = _add_vec(coeffs, lifted)
+        if in2:
+            coeffs = _scale_vec(coeffs, minus_one, f)
+        if not (in1 or in2):
             kind = KIND_ACROSS_STREET
-            rho1 = bb.rules[u1].tail
-            rho2 = bb.rules[u2].tail
-            coeffs = _mono_vec(u2, mono_var(n, i1), f, n)
-            coeffs = _add_vec(coeffs, _mono_vec(u1, mono_var(n, i2), f, n, f.neg(f.one)))
-            diff = _add_vec(
-                _const_coeffs({w: f.neg(c) for w, c in mu(rho1, i2, bb).items()}, bb),
-                _const_coeffs(mu(rho2, i1, bb), bb),
-            )
-            coeffs = _add_vec(coeffs, diff)
-        rel = SyzygyRelation(coeffs, kind, (m, i1, i2))
+        elif mono_mul(u1, mono_var(n, j)) in bb.basis_set:
+            kind = KIND_NON_STAIR
+        else:
+            kind = KIND_NEXT_DOOR
+        rel = SyzygyRelation(coeffs, kind, (b, i, j))
         if not verify_syzygy(rel, bb):
             raise SyzygyError(f"generated relation fails to expand to zero: {rel!r}")
         out.append(rel)
@@ -146,23 +154,20 @@ def generate_syzygies(bb: BorderBasis):
 # reduction of arbitrary syzygies modulo the commutation generators
 
 
-def _decomposition_vector(
-    m: Monomial, theta: Monomial, bb: BorderBasis, ms: MultiplicationSystem
-) -> dict:
+def _decomposition_vector(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
     """Syzygy-vector T with Sum T_w f_w = m*theta - pi^e(m*theta).
 
     Built by peeling the leftmost variable of m; T has the term m*e_theta
-    plus lower-degree mu contributions.  ``ms`` holds the matrices of ``bb``.
+    plus lower-degree mu contributions.
     """
     n = bb.nvars
-    f = bb.field
     if mono_size(m) == 0:
-        return _mono_vec(theta, (0,) * n, f, n)
+        return _const_coeffs({theta: bb.field.one}, bb)
     i = next(k for k, e in enumerate(m) if e > 0)
     m_prev = mono_div(m, mono_var(n, i))
-    prev = _decomposition_vector(m_prev, theta, bb, ms)
+    prev = _decomposition_vector(m_prev, theta, bb)
     shifted = {w: h.mul_monomial(mono_var(n, i)) for w, h in prev.items()}
-    inner = normal_form(Polynomial.monomial(f, n, mono_mul(m_prev, theta)), ms, bb)
+    inner = normal_form(Polynomial.monomial(bb.field, n, mono_mul(m_prev, theta)), bb.ms, bb)
     return _add_vec(shifted, _const_coeffs(mu(inner, i, bb), bb))
 
 
@@ -190,12 +195,11 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
     if not verify_syzygy(coeffs, bb):
         raise SyzygyError("input is not a syzygy: Sum h_w f_w != 0")
     f = bb.field
-    ms = build_mult_system(bb)
     residual = {w: h for w, h in coeffs.items() if not h.is_zero()}
 
     def terms():
         for w in sorted(residual, key=mono_key):
-            for m in residual[w].sorted_monomials():
+            for m in sorted(residual[w].terms, key=mono_key):
                 yield m, w, residual[w].terms[m]
 
     for _ in range(_REDUCE_STEP_LIMIT):
@@ -215,12 +219,12 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
                     offender = (m, w, lam, u, delta)
         if offender is not None:
             m, w, lam, u, delta = offender
-            exchange = _decomposition_vector(m, w, bb, ms)
+            exchange = _decomposition_vector(m, w, bb)
             if delta > 0:
                 m2, w2 = _exchange_partner(u, bb)
                 exchange = _add_vec(
                     exchange,
-                    _scale_vec(_decomposition_vector(m2, w2, bb, ms), f.neg(f.one), f),
+                    _scale_vec(_decomposition_vector(m2, w2, bb), f.neg(f.one), f),
                 )
             # exchange is a syzygy whose leading term is m*e_w
             residual = _add_vec(residual, _scale_vec(exchange, f.neg(lam), f))
@@ -241,8 +245,8 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
         _, u, entries = pair_u
         (m, w, lam), (m2, w2, _) = entries[0], entries[1]
         exchange = _add_vec(
-            _decomposition_vector(m, w, bb, ms),
-            _scale_vec(_decomposition_vector(m2, w2, bb, ms), f.neg(f.one), f),
+            _decomposition_vector(m, w, bb),
+            _scale_vec(_decomposition_vector(m2, w2, bb), f.neg(f.one), f),
         )
         residual = _add_vec(residual, _scale_vec(exchange, f.neg(lam), f))
     raise SyzygyError("reduction did not terminate within the step limit")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -196,3 +197,71 @@ def test_cli_field_override(capsys, sysfile):
     code, out = run(capsys, ["basis", "--field", "fp:7", "--json", sysfile])
     assert code == 0
     assert json.loads(out)["field"] == "fp:7"
+
+
+# B = {1, x0, x1, x0^2, x1^2, x0^2*x1} under drvl: connected to 1, not an
+# order ideal (x0*x1 is missing), with all three relation kinds
+NON_ORDER_IDEAL = "ring x0 x1 over qq\n-4*x0^2*x1 + 6*x0^3 - 7*x1\n7*x1^2 + 5*x0*x1 + x1 + 2\n"
+
+
+@pytest.mark.parametrize(
+    "source, field, choice, syzygies_sha256, basis_sha256",
+    [
+        pytest.param(
+            "katsura", "qq", "mac",
+            "db07ce0cca6be389254bb3a610d8939068e8d652ca8cb01923948f80ad870b17",
+            "adffa74bca888b929a13b313024afffebee747eab262f25005c540f24595f87b",
+            id="katsura3-qq-mac",
+        ),
+        pytest.param(
+            "katsura", "fp:101", "minsz",
+            "981730f4438f8eef573c2856e4ec38124bc4db72bd1090137fe8aa0c6e53ad24",
+            "b00c44364e96f269edfbddaf14d6e0175d5ed5c7961932dce9a3a015ec1071db",
+            id="katsura3-fp101-minsz",
+        ),
+        pytest.param(
+            "katsura", "f64:1e-10", "mac",
+            "4e06766957923aa6b63ddc02d0d457c63408f292e06a8cebe7f5bf6f45766257",
+            "66dfc7455421cb43120ab861032fcf2ba1994868de67d3783f80a1a5d34fdcd8",
+            id="katsura3-f64-mac",
+        ),
+        pytest.param(
+            "katsura", "qq", "drvl",
+            "ee2dc0256e5c233dfb8304d9a49dbe4612f666750e9d7b305e631a400b850981",
+            "d5bfed3bda3e0885ed0e23a4ccfc21951c09b30259444a37280fbd9ddf970b8d",
+            id="katsura3-qq-drvl",
+        ),
+        pytest.param(
+            "katsura", "qq", "mix:3",
+            "0522332c1ba0de8566d3b5b885cea55e62b46914e83feb6dfe56e09ea749940b",
+            "be8dacf52c7b9a167c9dc14b4fbebd5bd8921cf0242ae2fe8678c96784364c54",
+            id="katsura3-qq-mix3",
+        ),
+        pytest.param(
+            "non-order-ideal", None, "drvl",
+            "f43e2390194c690646d4a458a3d17eb55d4ce51d6e8b5ce2eecc5ab194d7b28c",
+            "2a84a3942805eabbacb481c6b0c248e5e24feadaa53fc97eac9b5725ed55142a",
+            id="non-order-ideal-qq-drvl",
+        ),
+    ],
+)
+def test_cli_syzygy_reports_are_pinned(
+    capsys, tmp_path, source, field, choice, syzygies_sha256, basis_sha256
+):
+    # the relations' kinds, origins and coefficients, byte for byte
+    flags = ["--choice", choice, "--json"]
+    if source == "katsura":
+        base = ["katsura", "-n", "3", "--field", field, *flags]
+        runs = (base + ["syzygies"], base + ["--syzygies", "basis"])
+    else:
+        path = tmp_path / "sys.txt"
+        path.write_text(NON_ORDER_IDEAL)
+        runs = (["syzygies", *flags, str(path)], ["basis", "--syzygies", *flags, str(path)])
+    digests = []
+    for argv in runs:
+        code, out = run(capsys, argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    if source != "katsura":
+        assert "x0*x1" not in json.loads(out)["basis"]
+    assert digests == [syzygies_sha256, basis_sha256]

@@ -111,6 +111,27 @@ def test_normal_form_operator_consistency(fp, mac):
         assert ms.vector_of(shifted) == ms.apply(0, ms.vector_of(nf))
 
 
+@pytest.mark.parametrize("field_name", ["qq", "fp", "f64"])
+def test_apply_is_the_dense_product(request, mac, field_name):
+    # apply walks nonzero column entries and reduces once per coordinate;
+    # it must give, exactly, the product over every entry with field ops
+    field = request.getfixturevalue(field_name)
+    rng = seeded(43)
+    polys, _ = random_regular_system(rng, field, 2, 3)
+    bb = compute_border_basis(polys, mac.clone())
+    ms = build_mult_system(bb)
+    D = ms.dimension
+    for _ in range(5):
+        vec = ms.vector_of(normal_form(random_poly(rng, field, 2, 4), ms, bb))
+        for i in range(ms.nvars):
+            dense = [field.zero] * D
+            for j, c in enumerate(vec):
+                if not field.is_zero(c):
+                    for k in range(D):
+                        dense[k] = field.add(dense[k], field.mul(c, ms.matrices[i][j][k]))
+            assert ms.apply(i, vec) == dense
+
+
 def test_normal_form_idempotent(fp, mac):
     rng = seeded(37)
     polys, _ = random_regular_system(rng, fp, 3, 2)

@@ -1,6 +1,5 @@
 from borderbasis import (
     Polynomial,
-    build_mult_system,
     compute_border_basis,
     generate_syzygies,
     normal_form,
@@ -146,17 +145,16 @@ def test_decomposition_order_independence(qq, mac):
     theta = (2, 0)
     # m = x0*x1 applied to theta: peel x0 first vs x1 first
     m = (1, 1)
-    ms = build_mult_system(bb)
-    t_left = _decomposition_vector(m, theta, bb, ms)
+    t_left = _decomposition_vector(m, theta, bb)
 
     # peel the other variable first by relabeling through a manual recursion
     from borderbasis.poly import mono_div, mono_mul, mono_var
     from borderbasis.syzygy import _const_coeffs
 
     m_prev = mono_div(m, mono_var(2, 1))
-    prev = _decomposition_vector(m_prev, theta, bb, ms)
+    prev = _decomposition_vector(m_prev, theta, bb)
     shifted = {w: h.mul_monomial(mono_var(2, 1)) for w, h in prev.items()}
-    inner = normal_form(Polynomial.monomial(qq, 2, mono_mul(m_prev, theta)), ms, bb)
+    inner = normal_form(Polynomial.monomial(qq, 2, mono_mul(m_prev, theta)), bb.ms, bb)
     t_right = _add_vec(shifted, _const_coeffs(mu(inner, 1, bb), bb))
 
     diff = _add_vec(t_left, _scale_vec(t_right, qq.neg(qq.one), qq))
