@@ -24,6 +24,7 @@ from .poly import (
     mono_div,
     mono_key,
     mono_lcm,
+    mono_mul,
     mono_one,
     mono_size,
     mono_var,
@@ -94,13 +95,13 @@ def reduce_by_rules(p: Polynomial, rules: dict, B: set) -> Polynomial:
     for m in sorted(p.terms, key=mono_key):
         c = p.terms[m]
         if m in B:
-            acc[m] = f.add(acc.get(m, f.zero), c)
+            acc[m] = f.normalize(acc.get(m, f.zero) + c)
             continue
         rule = rules.get(m)
         if rule is None:
             raise NotReducibleError(m)
         for t, ct in rule.tail.terms.items():
-            acc[t] = f.add(acc.get(t, f.zero), f.mul(c, ct))
+            acc[t] = f.normalize(acc.get(t, f.zero) + c * ct)
     return Polynomial(f, p.nvars, acc)
 
 
@@ -118,7 +119,7 @@ def check_reducing_family(rules: dict, B: set, lam: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linear echelon with border-preferring pivots
+# linear echelon over the columns of B+, with border-preferring pivots
 
 
 def _gamma(cf: ChoiceFunction, p: Polynomial) -> Monomial:
@@ -129,82 +130,100 @@ def _gamma(cf: ChoiceFunction, p: Polynomial) -> Monomial:
         raise DegenerateInputError(str(exc)) from exc
 
 
-def _select_pivot(p: Polynomial, borderset: set, cf: ChoiceFunction) -> Monomial:
-    """Pivot of p: a degree-maximal border monomial when one exists (so the
-    element can serve as a rewriting rule), the choice-function pick otherwise.
+class _Echelon:
+    """Reduced echelon of monic rows with distinct pivots over the universe B+.
+
+    The columns ``cols`` are B+ sorted by `mono_key`, so a larger index is a
+    larger monomial; ``col`` maps a monomial to its index, ``border`` flags
+    the border columns and ``shift[i][k]`` is the column of x_i*cols[k] (None
+    outside B+).  Rows are `Polynomial`s keyed by column index.
     """
-    d = max(mono_size(m) for m in p.terms)
-    top_border = [m for m in p.terms if m in borderset and mono_size(m) == d]
-    if top_border:
+
+    def __init__(self, B, cf: ChoiceFunction, field, n: int):
+        borderset = border(B)
+        self.cols = sorted(B | borderset, key=mono_key)
+        self.col = {m: k for k, m in enumerate(self.cols)}
+        self.border = [m in borderset for m in self.cols]
+        self.size = [mono_size(m) for m in self.cols]
+        self.shift = [[self.col.get(mono_mul(m, mono_var(n, i))) for m in self.cols] for i in range(n)]
+        self.cf = cf
+        self.field = field
+        self.n = n
+        self.elements = []
+        self.pivot_of = {}  # pivot column -> index
+
+    def row(self, p: Polynomial):
+        """p as a row, or None when its support leaves B+."""
+        keys = [self.col.get(m) for m in p.terms]
+        if None in keys:
+            return None
+        return Polynomial(self.field, self.n, dict(zip(keys, p.terms.values())))
+
+    def poly(self, row: Polynomial) -> Polynomial:
+        return Polynomial(self.field, self.n, {self.cols[k]: c for k, c in row.terms.items()})
+
+    def multiples(self, row: Polynomial):
+        """The rows x_i*row that stay inside B+ (x_i has coefficient one)."""
+        for shift in self.shift:
+            keys = [shift[k] for k in row.terms]
+            if None not in keys:
+                yield Polynomial(self.field, self.n, dict(zip(keys, row.terms.values())))
+
+    def _select_pivot(self, row: Polynomial) -> int:
+        """Pivot of a row: a degree-maximal border column when one exists (so
+        the element can serve as a rewriting rule), the choice-function pick
+        otherwise.
+        """
+        d = max(self.size[k] for k in row.terms)
+        top_border = [k for k in row.terms if self.border[k] and self.size[k] == d]
         if len(top_border) == 1:
             return top_border[0]
-        restricted = Polynomial(p.field, p.nvars, {m: p.terms[m] for m in top_border})
-        return _gamma(cf, restricted)
-    return _gamma(cf, p)
+        keys = top_border or row.terms
+        pick = Polynomial(self.field, self.n, {self.cols[k]: row.terms[k] for k in keys})
+        return self.col[_gamma(self.cf, pick)]
 
-
-class _Echelon:
-    """Reduced echelon list of monic polynomials with distinct pivots."""
-
-    def __init__(self, borderset: set, cf: ChoiceFunction):
-        self.borderset = borderset
-        self.cf = cf
-        self.elements = []
-        self.pivot_of = {}  # pivot monomial -> index
-
-    def reduce(self, p: Polynomial) -> Polynomial:
+    def reduce(self, row: Polynomial) -> Polynomial:
         while True:
-            hit = max((m for m in p.terms if m in self.pivot_of), key=mono_key, default=None)
+            hit = max((k for k in row.terms if k in self.pivot_of), default=None)
             if hit is None:
-                return p
+                return row
             e = self.elements[self.pivot_of[hit]]
-            p = p.sub(e.scale(p.terms[hit]))
+            row = row.sub(e.scale(row.terms[hit]))
 
-    def insert(self, p: Polynomial):
-        """Reduce p and add it; returns the inserted element or None."""
-        p = self.reduce(p)
-        if p.is_zero():
+    def insert(self, row: Polynomial):
+        """Reduce a row and add it; returns the inserted element or None."""
+        row = self.reduce(row)
+        if row.is_zero():
             return None
-        pivot = _select_pivot(p, self.borderset, self.cf)
-        fld = p.field
-        p = p.scale(fld.inv(p.terms[pivot]))
+        pivot = self._select_pivot(row)
+        row = row.scale(self.field.inv(row.terms[pivot]))
         idx = len(self.elements)
         # back-reduce: keep other elements free of the new pivot
         for k, e in enumerate(self.elements):
             if pivot in e.terms:
-                self.elements[k] = e.sub(p.scale(e.terms[pivot]))
-        self.elements.append(p)
+                self.elements[k] = e.sub(row.scale(e.terms[pivot]))
+        self.elements.append(row)
         self.pivot_of[pivot] = idx
-        return p
+        return row
 
-    def insert_batch(self, cands):
+    def insert_batch(self, rows):
         """Insert a batch; float fields pick the maximal-magnitude pivot first
         (partial pivoting), exact fields keep the given deterministic order.
         """
+        if not isinstance(self.field, FloatField):
+            return [q for q in map(self.insert, rows) if q is not None]
         inserted = []
-        if not cands:
-            return inserted
-        if not isinstance(cands[0].field, FloatField):
-            for p in cands:
-                q = self.insert(p)
-                if q is not None:
-                    inserted.append(q)
-            return inserted
-        pending = [self.reduce(p) for p in cands]
-        pending = [p for p in pending if not p.is_zero()]
+        pending = [r for r in map(self.reduce, rows) if not r.is_zero()]
         while pending:
             best_i, best_mag = -1, -1.0
-            for i, p in enumerate(pending):
-                pivot = _select_pivot(p, self.borderset, self.cf)
-                mag = p.field.magnitude(p.terms[pivot])
+            for i, row in enumerate(pending):
+                mag = self.field.magnitude(row.terms[self._select_pivot(row)])
                 if mag > best_mag:
                     best_i, best_mag = i, mag
-            chosen = pending.pop(best_i)
-            q = self.insert(chosen)
+            q = self.insert(pending.pop(best_i))
             if q is not None:
                 inserted.append(q)
-            pending = [self.reduce(p) for p in pending]
-            pending = [p for p in pending if not p.is_zero()]
+            pending = [r for r in map(self.reduce, pending) if not r.is_zero()]
         return inserted
 
 
@@ -261,19 +280,6 @@ class BorderBasis:
         }
 
 
-def _dedupe(polys):
-    seen = set()
-    out = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        key = p
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
-
-
 def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
     """Fixed-point border basis computation.
 
@@ -293,7 +299,7 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
 
     loop_limit = sum(max(p.degree(), 1) for p in gens) + n + 10
 
-    pool = _dedupe(gens)
+    pool = list(dict.fromkeys(gens))
     support = set()
     for p in gens:
         support |= p.support()
@@ -301,44 +307,33 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
     blacklist = set()
 
     for loops in range(1, loop_limit + 1):
-        borderset = border(B)
-        Bplus = B | borderset
-        ech = _Echelon(borderset, cf)
-        active = [p for p in pool if p.support() <= Bplus]
-        frontier = ech.insert_batch(active)
+        ech = _Echelon(B, cf, field, n)
+        frontier = ech.insert_batch([r for r in map(ech.row, pool) if r is not None])
         # saturate with single-variable multiples staying inside <B+>
         while frontier:
-            mults = []
-            for e in frontier:
-                for i in range(n):
-                    q = e.mul_monomial(mono_var(n, i))
-                    if q.support() <= Bplus:
-                        mults.append(q)
-            frontier = ech.insert_batch(mults)
+            frontier = ech.insert_batch([q for e in frontier for q in ech.multiples(e)])
 
-        pool = _dedupe(pool + ech.elements)
+        elements = [ech.poly(e) for e in ech.elements]
+        pool = list(dict.fromkeys(pool + elements))
 
         # shrink move: any element pivoting on a basis monomial is a
         # dependency witness against that monomial
-        shrink = {piv for piv in ech.pivot_of if piv in B}
+        shrink = {ech.cols[k] for k in ech.pivot_of if not ech.border[k]}
         if shrink:
             if one in shrink:
-                raise InconsistentSystemError(ech.elements[ech.pivot_of[one]])
+                raise InconsistentSystemError(elements[ech.pivot_of[ech.col[one]]])
             blacklist |= shrink
             B = connected_component_of_one(B - shrink)
             continue
 
+        # after full back-reduction a second border monomial in an element is
+        # no pivot, so it stays uncovered and the grow move takes it
         rules = {}
-        pending = False
-        for piv, idx in ech.pivot_of.items():
-            e = ech.elements[idx]
-            in_border = [m for m in e.terms if m in borderset]
-            if len(in_border) == 1:
-                rules[piv] = RewritingRule.from_poly(e, piv)
-            else:
-                pending = True
+        for k, idx in ech.pivot_of.items():
+            if sum(ech.border[c] for c in ech.elements[idx].terms) == 1:
+                rules[ech.cols[k]] = RewritingRule.from_poly(elements[idx], ech.cols[k])
 
-        uncovered = sorted((m for m in borderset if m not in rules), key=mono_key)
+        uncovered = [m for k, m in enumerate(ech.cols) if ech.border[k] and m not in rules]
         if uncovered:
             growable = [m for m in uncovered if m not in blacklist]
             if not growable:
@@ -349,9 +344,6 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
             dmin = mono_size(growable[0])
             B = B | {m for m in growable if mono_size(m) == dmin}
             continue
-        if pending:
-            # full reduction plus complete coverage rules this out
-            raise NotZeroDimensionalError("internal: pending elements despite full coverage")
 
         # certificate: a nonzero commutator column is an ideal element in <B>
         result = BorderBasis(B, rules, loops, field, n)
@@ -363,7 +355,7 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
                 if not r.is_zero():
                     new_constraints.append(r)
         if new_constraints:
-            pool = _dedupe(pool + new_constraints)
+            pool = list(dict.fromkeys(pool + new_constraints))
             shrink = [_gamma(cf, r) for r in new_constraints]
             if one in shrink:
                 raise InconsistentSystemError(new_constraints[shrink.index(one)])

@@ -3,7 +3,8 @@
 Subcommands: basis, matrices, syzygies, solve, normalform, katsura.  Reports
 are plain text by default and machine-readable with --json.  Exit codes:
 1 parse or usage error, 2 not zero-dimensional (or inconsistent / guard
-exceeded), 3 numeric failure.
+exceeded), 3 numeric failure (a failed eigen solve, a float overflow, or a
+syzygy that fails its expansion check).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .border import (
     compute_border_basis,
 )
 from .choice import parse_choice
-from .fields import FieldError, parse_field
+from .fields import FieldError, NumericError, parse_field
 from .poly import (
     ParseError,
     format_monomial,
@@ -32,7 +33,7 @@ from .poly import (
 )
 from .quotient import NotABorderBasisError, normal_form
 from .solve import SolveError, eigen_roots
-from .syzygy import generate_syzygies
+from .syzygy import SyzygyError, generate_syzygies
 from .systems import KATSURA_FORMULA, gen_katsura
 
 EXIT_PARSE = 1
@@ -315,7 +316,7 @@ def main(argv=None) -> int:
     except (NotZeroDimensionalError, InconsistentSystemError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_ZERO_DIM
-    except (SolveError, NotABorderBasisError) as exc:
+    except (SolveError, NotABorderBasisError, SyzygyError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

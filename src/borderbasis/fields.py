@@ -2,7 +2,9 @@
 
 Every other module is generic over a ``Field`` instance.  Elements are plain
 Python values (``Fraction``, ``int`` residues, ``float``), so polynomials stay
-hashable and cheap to copy.
+hashable and cheap to copy.  They are combined with the operators ``+ - *``,
+and ``Field.normalize`` turns each result into the element it stands for
+before it is stored or compared.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ class FieldError(Exception):
 
 class FieldDivisionError(FieldError):
     """Division by a (field-)zero element; signals a pivot failure upstream."""
+
+
+class NumericError(Exception):
+    """A float computation left the finite range (overflow to inf or nan)."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -49,34 +55,22 @@ def is_prime(p: int) -> bool:
 class Field:
     """Abstract coefficient field.
 
-    Elements are immutable values; all operations are pure.
+    Elements are immutable values combined with ``+ - *``; ``normalize`` maps
+    a result to the stored element, and ``inv`` is the only division.
     """
 
     name = "?"
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
     def inv(self, a):
-        return self.div(self.one, a)
+        if self.is_zero(a):
+            raise FieldDivisionError(f"division by the zero value {self.to_str(a)} in {self.name}")
+        return self.normalize(self.one / a)
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
     def normalize(self, a):
-        """The element a sum of products formed with + and * stands for (Z/p reduces)."""
+        """The element a sum of products formed with + - * stands for (Z/p reduces)."""
         return a
 
     def magnitude(self, a) -> float:
@@ -109,23 +103,6 @@ class RationalField(Field):
     name = "qq"
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if b == 0:
-            raise FieldDivisionError("division by zero in QQ")
-        return a / b
-
-    def neg(self, a):
-        return -a
 
     def is_zero(self, a):
         return a == 0
@@ -167,22 +144,10 @@ class PrimeField(Field):
         self.zero = 0
         self.one = 1 % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
+    def inv(self, a):
+        if a % self.p == 0:
             raise FieldDivisionError(f"division by zero mod {self.p}")
-        return a * pow(b, -1, self.p) % self.p
-
-    def neg(self, a):
-        return -a % self.p
+        return pow(a, -1, self.p)
 
     def is_zero(self, a):
         return a % self.p == 0
@@ -197,7 +162,7 @@ class PrimeField(Field):
         return k % self.p
 
     def from_fraction(self, q):
-        return self.div(q.numerator % self.p, q.denominator % self.p)
+        return q.numerator * self.inv(q.denominator) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -213,6 +178,8 @@ class FloatField(Field):
     """64-bit floats with an epsilon-thresholded zero test.
 
     ``is_zero(c)`` iff ``|c| < eps``; ``eps = 0`` means exact comparison.
+    ``normalize`` raises NumericError on inf or nan, so an overflow stops the
+    computation instead of spreading nan through it.
     """
 
     def __init__(self, eps: float = DEFAULT_EPS):
@@ -223,25 +190,13 @@ class FloatField(Field):
         self.zero = 0.0
         self.one = 1.0
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if self.is_zero(b):
-            raise FieldDivisionError(f"division by eps-zero value {b!r}")
-        return a / b
-
-    def neg(self, a):
-        return -a
-
     def is_zero(self, a):
         return abs(a) < self.eps if self.eps > 0 else a == 0.0
+
+    def normalize(self, a):
+        if not math.isfinite(a):
+            raise NumericError(f"float overflow: a coefficient became {a!r}")
+        return a
 
     def magnitude(self, a):
         return abs(a)
@@ -250,7 +205,10 @@ class FloatField(Field):
         return float(k)
 
     def from_fraction(self, q):
-        return float(q)
+        try:
+            return float(q)
+        except OverflowError:
+            raise FieldError("coefficient out of the float range") from None
 
     def to_str(self, a):
         return repr(a)

@@ -2,8 +2,8 @@
 
 A monomial is a plain tuple of nonnegative exponents; its size |m| (the sum
 of exponents) is the grading degree.  Polynomials are sparse monomial->
-coefficient maps over a pluggable field; stored coefficients are never
-(field-)zero.
+coefficient maps over a pluggable field; stored coefficients are normalized
+and never (field-)zero.
 """
 
 from __future__ import annotations
@@ -56,7 +56,11 @@ def mono_key(m: Monomial):
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a coefficient field."""
+    """Immutable sparse polynomial over a coefficient field.
+
+    Keys are monomials, except in the border-basis echelon, whose rows key the
+    same maps by column index in B+ and reuse the linear operations here.
+    """
 
     __slots__ = ("field", "nvars", "terms", "_hash")
 
@@ -79,7 +83,7 @@ class Polynomial:
     def from_terms(cls, field, nvars, pairs: Iterable):
         acc = {}
         for m, c in pairs:
-            acc[m] = field.add(acc.get(m, field.zero), c)
+            acc[m] = field.normalize(acc.get(m, field.zero) + c)
         return cls(field, nvars, acc)
 
     @classmethod
@@ -103,31 +107,31 @@ class Polynomial:
         f = self.field
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = f.add(acc.get(m, f.zero), c)
+            acc[m] = f.normalize(acc.get(m, f.zero) + c)
         return Polynomial(f, self.nvars, acc)
 
     def sub(self, other: "Polynomial") -> "Polynomial":
         f = self.field
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = f.sub(acc.get(m, f.zero), c)
+            acc[m] = f.normalize(acc.get(m, f.zero) - c)
         return Polynomial(f, self.nvars, acc)
 
     def neg(self) -> "Polynomial":
         f = self.field
-        return Polynomial(f, self.nvars, {m: f.neg(c) for m, c in self.terms.items()})
+        return Polynomial(f, self.nvars, {m: f.normalize(-c) for m, c in self.terms.items()})
 
     def scale(self, c) -> "Polynomial":
         f = self.field
         if f.is_zero(c):
             return Polynomial(f, self.nvars)
-        return Polynomial(f, self.nvars, {m: f.mul(c, v) for m, v in self.terms.items()})
+        return Polynomial(f, self.nvars, {m: f.normalize(c * v) for m, v in self.terms.items()})
 
     def mul_monomial(self, m: Monomial, c=None) -> "Polynomial":
         f = self.field
         c = f.one if c is None else c
         return Polynomial(
-            f, self.nvars, {mono_mul(m, t): f.mul(c, v) for t, v in self.terms.items()}
+            f, self.nvars, {mono_mul(m, t): f.normalize(c * v) for t, v in self.terms.items()}
         )
 
     def mul(self, other: "Polynomial") -> "Polynomial":
@@ -136,7 +140,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
+                acc[m] = f.normalize(acc.get(m, f.zero) + c1 * c2)
         return Polynomial(f, self.nvars, acc)
 
     def __eq__(self, other):
@@ -437,6 +441,7 @@ class _PolyParser:
         return p
 
     def parse_term(self, sign: int) -> Polynomial:
+        first = self.peek()
         coeff = Fraction(sign)
         exps = [0] * self.nvars
         expect_factor = True
@@ -472,7 +477,7 @@ class _PolyParser:
         try:
             c = self.field.from_fraction(coeff)
         except FieldError as exc:
-            self.fail(str(exc))
+            self.fail(str(exc), first)
         return Polynomial(self.field, self.nvars, {tuple(exps): c})
 
 

@@ -131,7 +131,7 @@ def commutators(ms: MultiplicationSystem):
     for k, i, j in neighbours(ms.basis, ms.index):
         a = ms.apply(i, ms.matrices[j][k])
         b = ms.apply(j, ms.matrices[i][k])
-        diff = [f.sub(x, y) for x, y in zip(a, b)]
+        diff = [f.normalize(x - y) for x, y in zip(a, b)]
         if isinstance(f, FloatField):
             tol = max(f.eps, 1e-10 * norms[i] * norms[j])
             nonzero = any(f.magnitude(c) > tol for c in diff)

@@ -31,14 +31,14 @@ def gen_katsura(field: Field, n: int):
             if abs(m - k) > n:
                 continue
             mono = tuple(a + b for a, b in zip(u(abs(k)), u(abs(m - k))))
-            terms[mono] = field.add(terms.get(mono, field.zero), field.one)
-        terms[u(m)] = field.add(terms.get(u(m), field.zero), field.neg(field.one))
+            terms[mono] = field.normalize(terms.get(mono, field.zero) + field.one)
+        terms[u(m)] = field.normalize(terms.get(u(m), field.zero) - field.one)
         polys.append(Polynomial(field, nv, terms))
-    two = field.add(field.one, field.one)
+    two = field.normalize(field.one + field.one)
     linear = {u(0): field.one}
     for k in range(1, nv):
         linear[u(k)] = two
-    linear[(0,) * nv] = field.neg(field.one)
+    linear[(0,) * nv] = field.normalize(-field.one)
     polys.append(Polynomial(field, nv, linear))
     return polys
 
@@ -49,7 +49,7 @@ def gen_intro_family(field: Field, a, b, c, d, eps1, eps2):
     Warns when a*d - b*c = 0 (the system is then not zero-dimensional in
     general).
     """
-    det = field.sub(field.mul(a, d), field.mul(b, c))
+    det = field.normalize(a * d - b * c)
     if field.is_zero(det):
         warnings.warn("a*d - b*c = 0: the system may not be zero-dimensional", stacklevel=2)
     sq0, sq1, cross = (2, 0), (0, 2), (1, 1)

@@ -67,7 +67,7 @@ def mu(p: Polynomial, i: int, bb: BorderBasis) -> dict:
     for b, c in p.terms.items():
         w = mono_mul(b, xi)
         if w not in bb.basis_set:
-            out[w] = f.add(out.get(w, f.zero), c)
+            out[w] = f.normalize(out.get(w, f.zero) + c)
     return out
 
 
@@ -96,7 +96,7 @@ def expand_syzygy(coeffs: dict, bb: BorderBasis) -> Polynomial:
         if rule is None:
             raise SyzygyError(f"coefficient indexed by non-border monomial {w}")
         g = rule.poly().terms.items()
-        products += [(mono_mul(a, b), f.mul(c, d)) for a, c in h.terms.items() for b, d in g]
+        products += [(mono_mul(a, b), c * d) for a, c in h.terms.items() for b, d in g]
     return Polynomial.from_terms(f, bb.nvars, products)
 
 
@@ -116,7 +116,7 @@ def generate_syzygies(bb: BorderBasis):
     f = bb.field
     n = bb.nvars
     ms = bb.ms
-    minus_one = f.neg(f.one)
+    minus_one = f.normalize(-f.one)
     out = []
     for k, i, j in neighbours(bb.basis, bb.basis_set):
         b = bb.basis[k]
@@ -131,7 +131,7 @@ def generate_syzygies(bb: BorderBasis):
         c_i = ms.poly_of(ms.matrices[i][k])
         c_j = ms.poly_of(ms.matrices[j][k])
         lifted = _add_vec(
-            _const_coeffs({w: f.neg(c) for w, c in mu(c_i, j, bb).items()}, bb),
+            _const_coeffs({w: f.normalize(-c) for w, c in mu(c_i, j, bb).items()}, bb),
             _const_coeffs(mu(c_j, i, bb), bb),
         )
         coeffs = _add_vec(coeffs, lifted)
@@ -224,10 +224,10 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
                 m2, w2 = _exchange_partner(u, bb)
                 exchange = _add_vec(
                     exchange,
-                    _scale_vec(_decomposition_vector(m2, w2, bb), f.neg(f.one), f),
+                    _scale_vec(_decomposition_vector(m2, w2, bb), f.normalize(-f.one), f),
                 )
             # exchange is a syzygy whose leading term is m*e_w
-            residual = _add_vec(residual, _scale_vec(exchange, f.neg(lam), f))
+            residual = _add_vec(residual, _scale_vec(exchange, f.normalize(-lam), f))
             continue
         # phase 2: all terms normalized; cancel the maximal-index pair
         groups = {}
@@ -246,7 +246,7 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
         (m, w, lam), (m2, w2, _) = entries[0], entries[1]
         exchange = _add_vec(
             _decomposition_vector(m, w, bb),
-            _scale_vec(_decomposition_vector(m2, w2, bb), f.neg(f.one), f),
+            _scale_vec(_decomposition_vector(m2, w2, bb), f.normalize(-f.one), f),
         )
-        residual = _add_vec(residual, _scale_vec(exchange, f.neg(lam), f))
+        residual = _add_vec(residual, _scale_vec(exchange, f.normalize(-lam), f))
     raise SyzygyError("reduction did not terminate within the step limit")

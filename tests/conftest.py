@@ -134,11 +134,11 @@ def echelonize(rows, field):
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        rows[r] = [field.normalize(inv * v) for v in rows[r]]
         for k in range(len(rows)):
             if k != r and not field.is_zero(rows[k][col]):
                 c = rows[k][col]
-                rows[k] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[k], rows[r])]
+                rows[k] = [field.normalize(a - c * b) for a, b in zip(rows[k], rows[r])]
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -159,7 +159,7 @@ def nullspace(rows, field, ncols):
         vec = [field.zero] * ncols
         vec[fcol] = field.one
         for r, pcol in enumerate(pivots):
-            vec[pcol] = field.neg(work[r][fcol])
+            vec[pcol] = field.normalize(-work[r][fcol])
         basis.append(vec)
     return basis
 
@@ -232,7 +232,7 @@ class OracleProjector:
                     continue
                 c = target[piv]
                 if not field.is_zero(c):
-                    target = [field.sub(a, field.mul(c, b)) for a, b in zip(target, r)]
+                    target = [field.normalize(a - c * b) for a, b in zip(target, r)]
             vals = {j: c for j, c in enumerate(target) if not field.is_zero(c)}
         terms = {}
         for j, c in vals.items():
@@ -276,7 +276,7 @@ def oracle_syzygy_basis(bb):
             vec = [field.zero] * len(cols)
             vec[fcol] = field.one
             for r, pcol in enumerate(pivots):
-                vec[pcol] = field.neg(int(work[r, fcol]))
+                vec[pcol] = field.normalize(-int(work[r, fcol]))
             kernel.append(vec)
     else:
         rows = [[field.zero] * len(cols) for _ in monos]

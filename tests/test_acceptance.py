@@ -123,7 +123,7 @@ def test_acceptance_5_katsura4_solve():
 def test_acceptance_6_stability(qq):
     t0 = time.perf_counter()
     cf = parse_choice("mac")
-    exact = gen_intro_family(qq, qq.one, qq.one, qq.one, qq.neg(qq.one), qq.zero, qq.zero)
+    exact = gen_intro_family(qq, qq.one, qq.one, qq.one, qq.normalize(-qq.one), qq.zero, qq.zero)
     b0 = compute_border_basis(exact, cf)
     ff = parse_field("f64:1e-6")
     for eps in (1e-8, 1e-4):

@@ -85,20 +85,21 @@ def test_check_reducing_family(qq):
 def test_interreduce(qq, mac):
     B = {(0,), (1,)}
     P = [poly_of("x0^2 - 1", qq, 1), poly_of("x0^2 - x0", qq, 1)]
-    ech = _Echelon(border(B), mac)
-    ech.insert_batch(P)
+    ech = _Echelon(B, mac, qq, 1)
+    ech.insert_batch([ech.row(p) for p in P])
     assert len(ech.elements) == 2
+    elements = [ech.poly(e) for e in ech.elements]
     # one rule with lead x0^2, one witness with its support in B
-    assert ech.elements[ech.pivot_of[(2,)]].support() - B == {(2,)}
-    assert sum(e.support() <= B for e in ech.elements) == 1
+    assert elements[ech.pivot_of[ech.col[(2,)]]].support() - B == {(2,)}
+    assert sum(e.support() <= B for e in elements) == 1
 
 
 def test_interreduce_dependent(qq, mac):
     B = {(0, 0), (1, 0)}
     p = poly_of("x0^2 - x0", qq)
-    ech = _Echelon(border(B), mac)
-    assert len(ech.insert_batch([p, p.scale(qq.from_int(2))])) == 1
-    assert ech.elements[0].support() - B == {(2, 0)}
+    ech = _Echelon(B, mac, qq, 2)
+    assert len(ech.insert_batch([ech.row(p), ech.row(p.scale(qq.from_int(2)))])) == 1
+    assert ech.poly(ech.elements[0]).support() - B == {(2, 0)}
 
 
 def test_univariate_basis(qq, mac):

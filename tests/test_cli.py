@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import borderbasis
 from borderbasis import gen_katsura
 from borderbasis.cli import main
 from borderbasis.systems import gen_intro_family
@@ -265,3 +270,74 @@ def test_cli_syzygy_reports_are_pinned(
     if source != "katsura":
         assert "x0*x1" not in json.loads(out)["basis"]
     assert digests == [syzygies_sha256, basis_sha256]
+
+
+@pytest.mark.parametrize(
+    "source, choice, size, basis_sha256",
+    [
+        pytest.param(
+            "katsura", "mix:5", 8,
+            "9f65e9f341c834971e30435e661e1b39db2859c80483ebe25565b1112a8c28bc",
+            id="katsura3-f64-mix5",
+        ),
+        pytest.param(
+            "non-order-ideal", "mix:1", 6,
+            "f57205649ab9b16c57fd81875cdb2d26513528a6de84fd76bad43c329b440af9",
+            id="non-order-ideal-f64-mix1",
+        ),
+    ],
+)
+def test_cli_float_pivoting_is_pinned(capsys, tmp_path, source, choice, size, basis_sha256):
+    # partial pivoting evaluates the choice function on every pending row, so
+    # mix's coin order shows in the basis and the rules
+    flags = ["--field", "f64:1e-10", "--choice", choice, "--json"]
+    if source == "katsura":
+        argv = ["katsura", "-n", "3", *flags, "basis"]
+    else:
+        path = tmp_path / "sys.txt"
+        path.write_text(NON_ORDER_IDEAL)
+        argv = ["basis", *flags, str(path)]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert len(json.loads(out)["basis"]) == size
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == basis_sha256
+
+
+# certified over f64, but its across-the-street relation at (x2^5, x0, x1)
+# fails the absolute-eps expansion check
+SYZYGY_FAILURE = """ring x0 x1 x2 over f64:1e-10
+-1.0*x1*x2^2 + 7.0*x1^2*x2 - 3.0*x1^3 + 8.0*x0^2*x1 - 1.0*x2^2 - 8.0*x1*x2 - 6.0*x1^2 + 5.0*x0*x2 + 4.0*x0^2 + 8.0*x2 - 8.0
+-2.0*x1*x2 + 7.0*x0*x1 + 8.0*x0^2 - 2.0*x2 + 3.0*x1
+-7.0*x2^3 - 8.0*x1*x2^2 - 3.0*x1^2*x2 + 3.0*x1^3 + 8.0*x0*x1*x2 + 9.0*x0^2*x2 - 5.0*x1^2 - 5.0*x0*x1 - 4.0*x0^2 - 9.0*x2 - 4.0*x1 + 9.0*x0
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [["syzygies", "--choice", "drvl", "--json"], ["basis", "--syzygies", "--choice", "drvl", "--json"]]
+)
+def test_cli_syzygy_error_is_numeric(capsys, tmp_path, argv):
+    path = tmp_path / "sys.txt"
+    path.write_text(SYZYGY_FAILURE)
+    assert main(argv + [str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_float_overflow_at_parse_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "sys.txt"
+    path.write_text("ring x y over f64:1e-10\nx^2 - 1e400\ny^2 - 1\n")
+    assert main(["basis", str(path)]) == 1
+    assert "at line 2, column 7" in capsys.readouterr().err
+
+
+def test_cli_float_overflow_in_the_loop_is_numeric(tmp_path):
+    # products overflow to inf, then nan; an unchecked nan pivot never
+    # reduces away, so run in a subprocess whose timeout fails a hang
+    path = tmp_path / "sys.txt"
+    path.write_text("ring x y over f64:1e-10\nx^2 - 1e300*y\ny^2 - 1e300\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(borderbasis.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "borderbasis.cli", "basis", str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")

@@ -16,17 +16,17 @@ from borderbasis.fields import (
 
 def test_rational_arith():
     f = RationalField()
-    assert f.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
-    assert f.is_zero(f.sub(f.one, f.one))
+    assert f.normalize(Fraction(1, 3) + Fraction(1, 6)) == Fraction(1, 2)
+    assert f.is_zero(f.normalize(f.one - f.one))
     assert f.to_str(Fraction(-3, 4)) == "-3/4"
     assert f.to_str(Fraction(5)) == "5"
 
 
 def test_prime_field_arith():
     f = PrimeField(7)
-    assert f.mul(3, 5) == 1
+    assert f.normalize(3 * 5) == 1
     assert f.inv(3) == 5
-    assert f.add(6, 6) == 5
+    assert f.normalize(6 + 6) == 5
     with pytest.raises(FieldDivisionError):
         f.inv(0)
 
@@ -43,7 +43,7 @@ def test_float_eps_zero_test():
     assert f.is_zero(5e-11)
     assert not f.is_zero(2e-10)
     with pytest.raises(FieldDivisionError):
-        f.div(1.0, 1e-12)
+        f.inv(1e-12)
 
 
 def test_float_eps_zero_means_exact():
@@ -85,16 +85,16 @@ def test_parse_field_rejects_non_finite_eps(spec):
 )
 def test_rational_div_roundtrip(a, b):
     f = RationalField()
-    assert f.mul(f.div(a, b), b) == a
+    assert f.normalize(f.normalize(a * f.inv(b)) * b) == a
 
 
 @given(st.integers(0, 65536), st.integers(1, 65536))
 def test_prime_div_roundtrip(a, b):
     f = PrimeField(65537)
-    assert f.mul(f.div(a, b), b) == a % 65537
+    assert f.normalize(f.normalize(a * f.inv(b)) * b) == a % 65537
 
 
 @given(st.integers(1, 65536), st.integers(1, 65536))
 def test_prime_product_nonzero(a, b):
     f = PrimeField(65537)
-    assert not f.is_zero(f.mul(a, b))
+    assert not f.is_zero(f.normalize(a * b))

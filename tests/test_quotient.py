@@ -128,7 +128,7 @@ def test_apply_is_the_dense_product(request, mac, field_name):
             for j, c in enumerate(vec):
                 if not field.is_zero(c):
                     for k in range(D):
-                        dense[k] = field.add(dense[k], field.mul(c, ms.matrices[i][j][k]))
+                        dense[k] = field.normalize(dense[k] + c * ms.matrices[i][j][k])
             assert ms.apply(i, vec) == dense
 
 

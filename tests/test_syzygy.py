@@ -110,7 +110,7 @@ def test_reduce_koszul(qq, mac):
     for a in range(len(leads)):
         for b in range(a + 1, len(leads)):
             fa, fb = bb.rules[leads[a]].poly(), bb.rules[leads[b]].poly()
-            syz = {leads[a]: fb, leads[b]: fa.scale(qq.neg(qq.one))}
+            syz = {leads[a]: fb, leads[b]: fa.scale(qq.normalize(-qq.one))}
             assert expand_syzygy(syz, bb).is_zero()
             assert reduce_syzygy(syz, bb) == {}
 
@@ -132,7 +132,7 @@ def test_random_ideal_combination_syzygies(fp, mac):
         a, b = rng.sample(range(len(leads)), 2)
         q = random_poly(rng, fp, 2, 2)
         fa, fb = bb.rules[leads[a]].poly(), bb.rules[leads[b]].poly()
-        syz = {leads[a]: q.mul(fb), leads[b]: q.mul(fa).scale(fp.neg(fp.one))}
+        syz = {leads[a]: q.mul(fb), leads[b]: q.mul(fa).scale(fp.normalize(-fp.one))}
         syz = {w: h for w, h in syz.items() if not h.is_zero()}
         assert reduce_syzygy(syz, bb) == {}
 
@@ -157,7 +157,7 @@ def test_decomposition_order_independence(qq, mac):
     inner = normal_form(Polynomial.monomial(qq, 2, mono_mul(m_prev, theta)), bb.ms, bb)
     t_right = _add_vec(shifted, _const_coeffs(mu(inner, 1, bb), bb))
 
-    diff = _add_vec(t_left, _scale_vec(t_right, qq.neg(qq.one), qq))
+    diff = _add_vec(t_left, _scale_vec(t_right, qq.normalize(-qq.one), qq))
     assert expand_syzygy(diff, bb).is_zero()
     assert reduce_syzygy(diff, bb) == {}
 
