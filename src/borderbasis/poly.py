@@ -8,6 +8,7 @@ and never (field-)zero.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -328,163 +329,74 @@ def format_poly(p: Polynomial, varnames=None) -> str:
     return " ".join(parts)
 
 
-class _Tok:
-    __slots__ = ("kind", "value", "col")
-
-    def __init__(self, kind, value, col):
-        self.kind = kind
-        self.value = value
-        self.col = col
-
-
-def _tokenize(line: str, lineno: int):
-    toks = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            toks.append(_Tok(ch, ch, i + 1))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < len(line):
-                c = line[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    nxt = line[j + 1 : j + 2]
-                    if nxt.isdigit() or nxt in "+-":
-                        seen_exp = True
-                        j += 2 if nxt in "+-" else 1
-                    else:
-                        break
-                else:
-                    break
-            text = line[i:j]
-            # integer followed by '/' integer is a rational literal
-            if not seen_dot and not seen_exp and line[j : j + 1] == "/":
-                k = j + 1
-                while k < len(line) and line[k].isdigit():
-                    k += 1
-                if k > j + 1:
-                    toks.append(_Tok("num", Fraction(int(text), int(line[j + 1 : k])), i + 1))
-                    i = k
-                    continue
-            if seen_dot or seen_exp:
-                toks.append(_Tok("num", Fraction(text), i + 1))
-            else:
-                toks.append(_Tok("num", Fraction(int(text)), i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", line[i:j], i + 1))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
-    toks.append(_Tok("end", None, len(line) + 1))
-    return toks
-
-
-class _PolyParser:
-    """Recursive-descent parser for the sum-of-terms grammar."""
-
-    def __init__(self, toks, lineno, varindex, field, nvars):
-        self.toks = toks
-        self.pos = 0
-        self.lineno = lineno
-        self.varindex = varindex
-        self.field = field
-        self.nvars = nvars
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(msg, self.lineno, tok.col)
-
-    def parse(self) -> Polynomial:
-        p = self.parse_poly()
-        if self.peek().kind != "end":
-            self.fail(f"trailing input {self.peek().value!r}")
-        return p
-
-    def parse_poly(self) -> Polynomial:
-        sign = 1
-        while self.peek().kind in "+-":
-            if self.take().kind == "-":
-                sign = -sign
-        p = self.parse_term(sign)
-        while self.peek().kind in "+-":
-            sign = 1
-            while self.peek().kind in "+-":
-                if self.take().kind == "-":
-                    sign = -sign
-            p = p.add(self.parse_term(sign))
-        return p
-
-    def parse_term(self, sign: int) -> Polynomial:
-        first = self.peek()
-        coeff = Fraction(sign)
-        exps = [0] * self.nvars
-        expect_factor = True
-        while True:
-            tok = self.peek()
-            if tok.kind == "num":
-                self.take()
-                coeff *= tok.value
-            elif tok.kind == "name":
-                self.take()
-                if tok.value not in self.varindex:
-                    self.fail(f"unknown variable {tok.value!r}", tok)
-                i = self.varindex[tok.value]
-                e = 1
-                if self.peek().kind == "^":
-                    self.take()
-                    etok = self.peek()
-                    if etok.kind != "num" or etok.value.denominator != 1:
-                        self.fail("expected integer exponent")
-                    self.take()
-                    e = int(etok.value)
-                    if e < 0:
-                        self.fail("negative exponent", etok)
-                exps[i] += e
-            elif expect_factor:
-                self.fail("expected coefficient or variable")
-            else:
-                break
-            expect_factor = False
-            if self.peek().kind == "*":
-                self.take()
-                expect_factor = True
-        try:
-            c = self.field.from_fraction(coeff)
-        except FieldError as exc:
-            self.fail(str(exc), first)
-        return Polynomial(self.field, self.nvars, {tuple(exps): c})
+# One token: a number (a/b, or a decimal with an optional exponent), a name,
+# an operator, or any other non-space character, which is an error.  An e
+# after a number starts an exponent only before a digit or a sign, so "2e"
+# reads as 2*e and "2e+" is a malformed number.
+_TOKEN = re.compile(
+    r"(?P<num>\d+/\d+|(?:\d+\.?\d*|\.\d*)(?:[eE](?:[+-]\d*|\d+))?)"
+    r"|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^()])|(?P<bad>\S)"
+)
 
 
 def parse_polynomial(text: str, varnames, field, lineno=1) -> Polynomial:
-    varindex = {v: i for i, v in enumerate(varnames)}
-    toks = _tokenize(text, lineno)
-    return _PolyParser(toks, lineno, varindex, field, len(varnames)).parse()
+    """Read one polynomial: terms joined by + and -, each a run of signs and
+    then factors (numbers and variables with an optional ^ power) joined by *
+    or juxtaposition.  Any malformed input is a ParseError at its column."""
+    index = {v: i for i, v in enumerate(varnames)}
+    n = len(varnames)
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", lineno, col)
+        if kind == "num":
+            try:  # Fraction(int) is about 3x faster than Fraction(str) on integers
+                tok = Fraction(int(tok)) if tok.isdecimal() else Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"malformed number {tok!r}", lineno, col) from None
+        toks.append((tok if kind == "op" else kind, tok, col))
+    toks.append(("end", None, len(text) + 1))
+    poly = Polynomial(field, n)
+    k = 0
+    while True:
+        sign = 1
+        while toks[k][0] in ("+", "-"):
+            sign = -sign if toks[k][0] == "-" else sign
+            k += 1
+        coeff, exps, first = Fraction(sign), [0] * n, toks[k][2]
+        while True:
+            kind, tok, col = toks[k]
+            if kind == "num":
+                coeff *= tok
+            elif kind == "name":
+                if tok not in index:
+                    raise ParseError(f"unknown variable {tok!r}", lineno, col)
+                e = 1
+                if toks[k + 1][0] == "^":
+                    k += 2
+                    kind, e, col = toks[k]
+                    if kind != "num" or e.denominator != 1:
+                        raise ParseError("expected integer exponent", lineno, col)
+                exps[index[tok]] += int(e)
+            else:
+                raise ParseError("expected coefficient or variable", lineno, col)
+            k += 1
+            if toks[k][0] == "*":
+                k += 1
+            elif toks[k][0] not in ("num", "name"):
+                break
+        try:
+            c = field.from_fraction(coeff)
+        except FieldError as exc:
+            raise ParseError(str(exc), lineno, first) from exc
+        # term by term, as the f64 zero filter applies to each term on its own
+        poly = poly.add(Polynomial(field, n, {tuple(exps): c}))
+        if toks[k][0] not in ("+", "-"):
+            break
+    if toks[k][0] != "end":
+        raise ParseError(f"trailing input {toks[k][1]!r}", lineno, toks[k][2])
+    return poly
 
 
 def parse_system(text: str, field_override=None):
@@ -511,6 +423,10 @@ def parse_system(text: str, field_override=None):
             varnames = words[1:k]
             if not varnames or len(set(varnames)) != len(varnames):
                 raise ParseError("bad variable list in ring header", lineno, 1)
+            for v in varnames:
+                token = _TOKEN.fullmatch(v)
+                if token is None or token.lastgroup != "name":
+                    raise ParseError(f"bad variable name {v!r} in ring header", lineno, 1)
             if len(words) != k + 2:
                 raise ParseError("expected a single field after 'over'", lineno, 1)
             try:

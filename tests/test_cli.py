@@ -122,6 +122,39 @@ def test_cli_parse_error(capsys, tmp_path):
     assert main(["basis", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "line,col", [("x - 1/0", 5), ("x^2 - .", 7), ("x - 2e+y", 5)], ids=["1/0", "dot", "2e+"]
+)
+def test_cli_malformed_number_is_a_located_parse_error(capsys, tmp_path, line, col):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"ring x y over qq\n{line}\ny^2 - 1\n")
+    assert main(["basis", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"at line 2, column {col}" in err
+
+
+def test_cli_number_before_e_at_line_end_is_a_product(capsys, tmp_path):
+    # "2e" reads as 2*e at the end of a line as it does mid-line
+    reports = []
+    for line in ("x - 2e", "x - 2e + 0"):
+        path = tmp_path / "sys.txt"
+        path.write_text(f"ring x e over qq\n{line}\ne^2 - 1\n")
+        code, out = run(capsys, ["basis", "--json", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        del report["input_sha256"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_cli_header_variable_must_be_a_name(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("ring x 2y over qq\nx^2 - 1\n")
+    assert main(["basis", str(bad)]) == 1
+    assert "bad variable name '2y' in ring header at line 1" in capsys.readouterr().err
+
+
 def test_cli_not_zero_dimensional(capsys, tmp_path):
     bad = tmp_path / "pos.txt"
     bad.write_text("ring x0 x1 over qq\nx0*x1\n")

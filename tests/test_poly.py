@@ -7,10 +7,11 @@ from borderbasis import (
     Polynomial,
     format_poly,
     format_system,
+    parse_field,
     parse_polynomial,
     parse_system,
 )
-from borderbasis.fields import PrimeField, RationalField
+from borderbasis.fields import FloatField, PrimeField, RationalField
 from borderbasis.poly import (
     b_index,
     border,
@@ -96,6 +97,28 @@ def test_parse_error_has_position(qq):
     assert err.value.col > 0
 
 
+@pytest.mark.parametrize(
+    "text,field,message",
+    [
+        ("x0 + $", "qq", "unexpected character '$' at line 2, column 6"),
+        ("2^3", "qq", "trailing input '^' at line 2, column 2"),
+        ("x0 )", "qq", "trailing input ')' at line 2, column 4"),
+        ("x0 + x9", "qq", "unknown variable 'x9' at line 2, column 6"),
+        ("x0^x1", "qq", "expected integer exponent at line 2, column 4"),
+        ("x0^1/2", "qq", "expected integer exponent at line 2, column 4"),
+        ("x0 * * x1", "qq", "expected coefficient or variable at line 2, column 6"),
+        ("x0 -", "qq", "expected coefficient or variable at line 2, column 5"),
+        ("x0 - 1/7", "fp:7", "division by zero mod 7 at line 2, column 6"),
+        ("x0 - 1e400", "f64:1e-10", "coefficient out of the float range at line 2, column 6"),
+    ],
+)
+def test_parse_error_messages(text, field, message):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, ["x0", "x1"], parse_field(field), lineno=2)
+    assert str(err.value) == message
+    assert (err.value.line, err.value.col) == (2, int(message.rsplit(" ", 1)[1]))
+
+
 def test_parse_float_coeffs():
     f64 = __import__("borderbasis").parse_field("f64:1e-10")
     p = poly_of("0.5*x0 - 1e-3", f64)
@@ -132,17 +155,17 @@ def test_header_errors():
         parse_system("ring x0 x0 over qq\n")
 
 
+def rational_terms(n=2, deg=3):
+    monos = monomials_of_degree_at_most(n, deg)
+    return st.lists(
+        st.tuples(st.sampled_from(monos), st.fractions(max_denominator=20)),
+        max_size=6,
+    )
+
+
 @st.composite
 def rational_polys(draw, n=2, deg=3):
-    field = RationalField()
-    monos = monomials_of_degree_at_most(n, deg)
-    pairs = draw(
-        st.lists(
-            st.tuples(st.sampled_from(monos), st.fractions(max_denominator=20)),
-            max_size=6,
-        )
-    )
-    return Polynomial.from_terms(field, n, pairs)
+    return Polynomial.from_terms(RationalField(), n, draw(rational_terms(n, deg)))
 
 
 @given(rational_polys(), rational_polys(), rational_polys())
@@ -155,10 +178,14 @@ def test_ring_axioms(p, q, r):
     assert p.mul(q).mul(r).terms == p.mul(q.mul(r)).terms
 
 
-@given(rational_polys())
+@pytest.mark.parametrize(
+    "field", [RationalField(), PrimeField(65537), FloatField(1e-10)], ids=lambda f: f.name
+)
+@given(pairs=rational_terms())
 @settings(max_examples=60, deadline=None)
-def test_print_parse_roundtrip(p):
-    back = parse_polynomial(format_poly(p), ["x0", "x1"], RationalField())
+def test_print_parse_roundtrip(field, pairs):
+    p = Polynomial.from_terms(field, 2, [(m, field.from_fraction(q)) for m, q in pairs])
+    back = parse_polynomial(format_poly(p), ["x0", "x1"], field)
     assert back == p
 
 
