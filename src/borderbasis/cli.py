@@ -2,7 +2,7 @@
 
 Subcommands: basis, matrices, syzygies, solve, normalform, katsura.  Reports
 are plain text by default and machine-readable with --json.  Exit codes:
-1 parse or usage error, 2 not zero-dimensional (or inconsistent / guard
+1 parse, usage or file error, 2 not zero-dimensional (or inconsistent / guard
 exceeded), 3 numeric failure (a failed eigen solve, a float overflow, or a
 syzygy that fails its expansion check).
 """
@@ -41,68 +41,14 @@ EXIT_NOT_ZERO_DIM = 2
 EXIT_NUMERIC = 3
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-class _Timer:
-    def __init__(self):
-        self.phases = {}
-
-    def measure(self, name):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.phases[name] = timer.phases.get(name, 0.0) + time.perf_counter() - self.t0
-
-        return _Ctx()
-
-
-def _load(args):
-    text = _read_input(args.input)
-    override = parse_field(args.field) if args.field else None
-    varnames, field, polys = parse_system(text, field_override=override)
-    return text, varnames, field, polys
-
-
-def _choice(args):
-    return parse_choice(args.choice, eps=args.eps)
-
-
-def _compute(args, polys, timer):
-    with timer.measure("basis"):
-        return compute_border_basis(polys, _choice(args))
-
-
-def _base_report(args, text, varnames, field, bb):
-    return {
-        "command": args.command,
-        "input_sha256": _digest(text),
-        "field": field.name,
-        "choice": args.choice,
-        "eps": args.eps,
-        "basis": bb.to_json_dict(varnames)["basis"],
-        "rule_count": len(bb.rules),
-        "loops": bb.loops,
-    }
-
-
-def _syzygy_json(rels, varnames):
-    out = []
+def _add_syzygies(bb, varnames, report, timings):
+    t0 = time.perf_counter()
+    rels = generate_syzygies(bb)
+    timings["syzygies"] = time.perf_counter() - t0
+    report["syzygies"] = []
     for rel in rels:
         m, i1, i2 = rel.origin
-        out.append(
+        report["syzygies"].append(
             {
                 "kind": rel.kind,
                 "origin": {"monomial": format_monomial(m, varnames), "i1": i1, "i2": i2},
@@ -112,134 +58,106 @@ def _syzygy_json(rels, varnames):
                 },
             }
         )
-    return out
 
 
-def _emit(report, args, timer, human_lines):
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-    # timings are run-dependent: kept out of the JSON report
-    if timer.phases and not args.json:
-        spent = ", ".join(f"{k} {v * 1000:.1f} ms" for k, v in timer.phases.items())
-        print(f"# timings: {spent}", file=sys.stderr)
+# Each report function adds its command's fields to the common report and
+# returns the text-mode lines.
 
 
-def _dump_matrices(args, ms, varnames):
-    if args.dump_matrices:
-        with open(args.dump_matrices, "w", encoding="utf-8") as fh:
-            json.dump(ms.to_json_dict(varnames), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-
-def _run_basis(args, text, varnames, field, polys):
-    timer = _Timer()
-    bb = _compute(args, polys, timer)
-    _dump_matrices(args, bb.ms, varnames)
-    report = _base_report(args, text, varnames, field, bb)
+def _basis(args, bb, varnames, polys, report, timings):
     report["rules"] = bb.to_json_dict(varnames)["rules"]
     # compute_border_basis returns only bases whose matrices commute
     report["commutation"] = True
     if args.syzygies:
-        with timer.measure("syzygies"):
-            report["syzygies"] = _syzygy_json(generate_syzygies(bb), varnames)
+        _add_syzygies(bb, varnames, report, timings)
     lines = [f"basis ({bb.dimension}): " + " ".join(report["basis"])]
     lines += [
         f"rule: {r['lead']} -> "
         + (" + ".join(f"{c}*{t}" for t, c in r["tail"].items()) or "0")
         for r in report["rules"]
     ]
-    lines.append(f"loops: {bb.loops}  commutation: True")
-    _emit(report, args, timer, lines)
-    return 0
+    return lines + [f"loops: {bb.loops}  commutation: True"]
 
 
-def _run_matrices(args, text, varnames, field, polys):
-    timer = _Timer()
-    bb = _compute(args, polys, timer)
-    _dump_matrices(args, bb.ms, varnames)
-    report = _base_report(args, text, varnames, field, bb)
+def _matrices(args, bb, varnames, polys, report, timings):
     report["matrices"] = bb.ms.to_json_dict(varnames)["matrices"]
     report["commutation"] = True
     lines = [f"basis ({bb.dimension}): " + " ".join(report["basis"])]
     for v, rows in report["matrices"].items():
         lines.append(f"M[{v}]:")
         lines += ["  " + "  ".join(row) for row in rows]
-    lines.append("commutation: True")
-    _emit(report, args, timer, lines)
-    return 0
+    return lines + ["commutation: True"]
 
 
-def _run_syzygies(args, text, varnames, field, polys):
-    timer = _Timer()
-    bb = _compute(args, polys, timer)
-    with timer.measure("syzygies"):
-        rels = generate_syzygies(bb)
-    report = _base_report(args, text, varnames, field, bb)
-    report["syzygies"] = _syzygy_json(rels, varnames)
+def _syzygies(args, bb, varnames, polys, report, timings):
+    _add_syzygies(bb, varnames, report, timings)
     lines = [f"basis ({bb.dimension}): " + " ".join(report["basis"])]
     for r in report["syzygies"]:
         o = r["origin"]
         coeffs = "; ".join(f"[{w}] {h}" for w, h in r["coeffs"].items())
         lines.append(f"{r['kind']} @ ({o['monomial']}, x{o['i1']}, x{o['i2']}): {coeffs}")
-    _emit(report, args, timer, lines)
-    return 0
+    return lines
 
 
-def _run_solve(args, text, varnames, field, polys):
-    timer = _Timer()
-    bb = _compute(args, polys, timer)
-    with timer.measure("eigen"):
-        rs = eigen_roots(bb.ms, seed=args.seed, polys=polys)
-    report = _base_report(args, text, varnames, field, bb)
+def _solve(args, bb, varnames, polys, report, timings):
+    t0 = time.perf_counter()
+    rs = eigen_roots(bb.ms, seed=args.seed, polys=polys)
+    timings["eigen"] = time.perf_counter() - t0
     report.update(rs.to_json_dict())
-    lines = []
-    for root in rs.roots:
-        coords = ", ".join(f"{z.real:.12g}{z.imag:+.12g}i" for z in root)
-        lines.append(f"root: ({coords})")
-    lines.append(f"mnacr: {rs.mnacr:.6g}")
-    _emit(report, args, timer, lines)
-    return 0
+    lines = [
+        "root: (" + ", ".join(f"{z.real:.12g}{z.imag:+.12g}i" for z in root) + ")"
+        for root in rs.roots
+    ]
+    return lines + [f"mnacr: {rs.mnacr:.6g}"]
 
 
-def _run_normalform(args, text, varnames, field, polys):
-    timer = _Timer()
-    bb = _compute(args, polys, timer)
-    results = []
+def _normalform(args, bb, varnames, polys, report, timings):
+    report["normal_forms"] = []
     for src in args.poly:
-        p = parse_polynomial(src, varnames, field)
-        nf = normal_form(p, bb.ms, bb)
-        results.append({"input": src, "normal_form": format_poly(nf, varnames)})
-    report = _base_report(args, text, varnames, field, bb)
-    report["normal_forms"] = results
-    lines = [f"{r['input']}  ->  {r['normal_form']}" for r in results]
-    _emit(report, args, timer, lines)
-    return 0
+        nf = normal_form(parse_polynomial(src, varnames, bb.field), bb.ms, bb)
+        report["normal_forms"].append({"input": src, "normal_form": format_poly(nf, varnames)})
+    return [f"{r['input']}  ->  {r['normal_form']}" for r in report["normal_forms"]]
 
 
-_ACTIONS = {
-    "basis": _run_basis,
-    "matrices": _run_matrices,
-    "syzygies": _run_syzygies,
-    "solve": _run_solve,
+_REPORTS = {
+    "basis": _basis,
+    "matrices": _matrices,
+    "syzygies": _syzygies,
+    "solve": _solve,
+    "normalform": _normalform,
 }
 
 
-def _run_katsura(args):
-    if args.show:
-        print(KATSURA_FORMULA)
-        return 0
-    field = parse_field(args.field) if args.field else parse_field("qq")
-    polys = gen_katsura(field, args.n)
-    varnames = [f"u{i}" for i in range(args.n + 1)]
-    text = format_system(varnames, field, polys)
-    if args.action == "print":
-        sys.stdout.write(text)
-        return 0
-    args.command = args.action
-    return _ACTIONS[args.action](args, text, varnames, field, polys)
+def _run(args, command, text, varnames, field, polys):
+    """The one pipeline: the basis, the optional matrix dump, the common
+    report, the command's own report, then the output."""
+    t0 = time.perf_counter()
+    bb = compute_border_basis(polys, parse_choice(args.choice, eps=args.eps))
+    timings = {"basis": time.perf_counter() - t0}
+    # only basis, matrices and katsura take --dump-matrices
+    if getattr(args, "dump_matrices", None):
+        with open(args.dump_matrices, "w", encoding="utf-8") as fh:
+            json.dump(bb.ms.to_json_dict(varnames), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    report = {
+        "command": command,
+        "input_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "field": field.name,
+        "choice": args.choice,
+        "eps": args.eps,
+        "basis": [format_monomial(m, varnames) for m in bb.basis],
+        "rule_count": len(bb.rules),
+        "loops": bb.loops,
+    }
+    lines = _REPORTS[command](args, bb, varnames, polys, report, timings)
+    if args.json:
+        print(json.dumps(report, sort_keys=True, indent=2))
+    else:
+        print("\n".join(lines))
+        # timings are run-dependent: kept out of the JSON report
+        spent = ", ".join(f"{k} {v * 1000:.1f} ms" for k, v in timings.items())
+        print(f"# timings: {spent}", file=sys.stderr)
+    return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -280,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="print",
         choices=["print", "basis", "matrices", "syzygies", "solve"],
     )
-    # each subcommand takes only the flags its handler reads; katsura names
-    # its handler positionally, so it takes them all
+    # each subcommand takes only the flags its report reads; katsura names
+    # its report positionally, so it takes them all
     for name, sub in subs.items():
         sub.add_argument("--field", help="field override: qq | fp:<p> | f64:<eps>")
         sub.add_argument("--choice", default="mac", help="drvl | dlex | mac | minsz | mix:<seed>")
@@ -306,11 +224,29 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "katsura":
-            return _run_katsura(args)
-        text, varnames, field, polys = _load(args)
-        handler = {**_ACTIONS, "normalform": _run_normalform}[args.command]
-        return handler(args, text, varnames, field, polys)
-    except (ParseError, FieldError, ValueError) as exc:
+            if args.show:
+                print(KATSURA_FORMULA)
+                return 0
+            field = parse_field(args.field or "qq")
+            polys = gen_katsura(field, args.n)
+            varnames = [f"u{i}" for i in range(args.n + 1)]
+            text = format_system(varnames, field, polys)
+            if args.action == "print":
+                sys.stdout.write(text)
+                return 0
+            command = args.action
+        else:
+            if args.input == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.input, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            override = parse_field(args.field) if args.field else None
+            varnames, field, polys = parse_system(text, field_override=override)
+            command = args.command
+        return _run(args, command, text, varnames, field, polys)
+    # OSError: an input or dump path that is missing or unreadable
+    except (ParseError, FieldError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NotZeroDimensionalError, InconsistentSystemError, DegenerateInputError) as exc:

@@ -339,6 +339,11 @@ _TOKEN = re.compile(
 )
 
 
+# the largest |decimal exponent| a literal may carry; doubles span roughly
+# 1e-324 to 1e308, so no f64 literal needs more
+_MAX_EXPONENT = 10000
+
+
 def parse_polynomial(text: str, varnames, field, lineno=1) -> Polynomial:
     """Read one polynomial: terms joined by + and -, each a run of signs and
     then factors (numbers and variables with an optional ^ power) joined by *
@@ -351,13 +356,17 @@ def parse_polynomial(text: str, varnames, field, lineno=1) -> Polynomial:
         if kind == "bad":
             raise ParseError(f"unexpected character {tok!r}", lineno, col)
         if kind == "num":
+            # Fraction would build the whole power of ten before any check
+            digits = tok.lower().partition("e")[2].lstrip("+-").lstrip("0")
+            if len(digits) > 5 or digits and int(digits) > _MAX_EXPONENT:
+                raise ParseError("exponent out of range", lineno, col)
             try:  # Fraction(int) is about 3x faster than Fraction(str) on integers
                 tok = Fraction(int(tok)) if tok.isdecimal() else Fraction(tok)
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"malformed number {tok!r}", lineno, col) from None
         toks.append((tok if kind == "op" else kind, tok, col))
     toks.append(("end", None, len(text) + 1))
-    poly = Polynomial(field, n)
+    terms = {}
     k = 0
     while True:
         sign = 1
@@ -391,12 +400,18 @@ def parse_polynomial(text: str, varnames, field, lineno=1) -> Polynomial:
         except FieldError as exc:
             raise ParseError(str(exc), lineno, first) from exc
         # term by term, as the f64 zero filter applies to each term on its own
-        poly = poly.add(Polynomial(field, n, {tuple(exps): c}))
+        if not field.is_zero(c):
+            m = tuple(exps)
+            c = field.normalize(terms.get(m, field.zero) + c)
+            if field.is_zero(c):
+                del terms[m]
+            else:
+                terms[m] = c
         if toks[k][0] not in ("+", "-"):
             break
     if toks[k][0] != "end":
         raise ParseError(f"trailing input {toks[k][1]!r}", lineno, toks[k][2])
-    return poly
+    return Polynomial(field, n, terms)
 
 
 def parse_system(text: str, field_override=None):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -229,6 +230,39 @@ def test_cli_katsura_takes_every_flag(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["syzygies"]
     assert json.loads(dump.read_text())["basis"] == json.loads(out)["basis"]
+
+
+def test_cli_katsura_dumps_matrices_for_every_action(capsys, tmp_path):
+    dumps = []
+    for action in ("basis", "matrices", "syzygies", "solve"):
+        dump = tmp_path / f"{action}.json"
+        code, _ = run(capsys, ["katsura", "-n", "2", "--dump-matrices", str(dump), action])
+        assert code == 0
+        dumps.append(dump.read_text())
+    assert dumps[1:] == dumps[:1] * 3
+
+
+@pytest.mark.parametrize("field", ["qq", "fp:101", "f64:1e-10"])
+def test_cli_katsura_equals_its_text_on_stdin(capsys, monkeypatch, field):
+    # both sources go through one pipeline: same report, byte for byte
+    code, text = run(capsys, ["katsura", "-n", "3", "--field", field])
+    assert code == 0
+    for action in ("basis", "matrices", "syzygies", "solve"):
+        for mode in ([], ["--json"]):
+            generated = run(capsys, ["katsura", "-n", "3", "--field", field, *mode, action])
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert run(capsys, [action, *mode, "-"]) == generated
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "dump"])
+def test_cli_file_error_exits_1(capsys, sysfile, tmp_path, case):
+    argv = {
+        "missing": ["basis", str(tmp_path / "nosuch.txt")],
+        "directory": ["basis", str(tmp_path)],
+        "dump": ["matrices", "--dump-matrices", str(tmp_path / "no" / "m.json"), sysfile],
+    }[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_field_override(capsys, sysfile):

@@ -110,6 +110,14 @@ def test_parse_error_has_position(qq):
         ("x0 -", "qq", "expected coefficient or variable at line 2, column 5"),
         ("x0 - 1/7", "fp:7", "division by zero mod 7 at line 2, column 6"),
         ("x0 - 1e400", "f64:1e-10", "coefficient out of the float range at line 2, column 6"),
+        # the exponent is capped before Fraction builds the power of ten
+        ("x0 - 1e100001", "qq", "exponent out of range at line 2, column 6"),
+        ("x0 + 2.5E+0010001*x1", "fp:65537", "exponent out of range at line 2, column 6"),
+        ("x0 - 1e-100001", "f64:1e-10", "exponent out of range at line 2, column 6"),
+        pytest.param(
+            "x0 - 1e" + "9" * 5000, "qq", "exponent out of range at line 2, column 6",
+            id="exponent-too-long-for-int",
+        ),
     ],
 )
 def test_parse_error_messages(text, field, message):
@@ -124,6 +132,20 @@ def test_parse_float_coeffs():
     p = poly_of("0.5*x0 - 1e-3", f64)
     assert p.coeff((1, 0)) == 0.5
     assert p.coeff((0, 0)) == -1e-3
+
+
+def test_parse_collects_like_terms_in_order(qq, f64):
+    # a term that cancels leaves its place; one that returns goes to the end
+    p = poly_of("x1 + x0 - x1 + 3 + x1", qq)
+    assert list(p.terms.items()) == [((1, 0), 1), ((0, 0), 3), ((0, 1), 1)]
+    assert poly_of("x0 - x0", qq).is_zero()
+    # the f64 zero filter applies to each term before it is added
+    assert poly_of("x0 + 1e-11*x0", f64).terms == {(1, 0): 1.0}
+
+
+def test_parse_exponent_at_the_cap(qq):
+    assert poly_of("x0 - 1e10000", qq).coeff((0, 0)) == -(10**10000)
+    assert poly_of("x0 - 1e-10000", qq).coeff((0, 0)) * 10**10000 == -1
 
 
 def test_system_parse_and_format(qq):
