@@ -10,6 +10,7 @@ before it is stored or compared.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -25,31 +26,9 @@ class NumericError(Exception):
     """A float computation left the finite range (overflow to inf or nan)."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for p < 3.3e24 (covers p < 2^31)."""
-    if p < 2:
-        return False
-    for q in _MR_BASES:
-        if p % q == 0:
-            return p == q
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division; PrimeField asks only below 2^31 (under 50,000 divisions)."""
+    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 class Field:
@@ -120,7 +99,9 @@ class RationalField(Field):
         return q
 
     def to_str(self, a):
-        return str(a)
+        # str(Fraction) in Decimal digits: str(int) stops at sys.get_int_max_str_digits()
+        num = str(Decimal(a.numerator))
+        return num if a.denominator == 1 else f"{num}/{Decimal(a.denominator)}"
 
     def to_complex(self, a):
         return complex(a)

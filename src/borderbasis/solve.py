@@ -91,7 +91,10 @@ def eigen_roots(ms: MultiplicationSystem, seed: int = 0, polys=None) -> RootSet:
     mats_t = [_complex_matrix(ms, i).T for i in range(n)]
     t = np.exp(2j * np.pi * rng.random(n))
     M = sum(t[i] * mats_t[i] for i in range(n))
-    vals, vecs = np.linalg.eig(M)
+    try:
+        vals, vecs = np.linalg.eig(M)
+    except np.linalg.LinAlgError as exc:  # a ValueError, which would read as a parse error
+        raise SolveError(f"eigen solve failed: {exc}") from exc
 
     # condition estimate of the eigenvector basis; large values flag a
     # defective or clustered eigenproblem

@@ -27,11 +27,11 @@ from .poly import (
     mono_divides,
     mono_key,
     mono_mul,
+    mono_one,
     mono_size,
     mono_var,
     neighbours,
 )
-from .quotient import normal_form
 
 KIND_NEXT_DOOR = "next_door"
 KIND_NON_STAIR = "non_stair"
@@ -59,21 +59,19 @@ class SyzygyRelation:
         return f"SyzygyRelation(kind={self.kind}, origin={self.origin})"
 
 
-def mu(p: Polynomial, i: int, bb: BorderBasis) -> dict:
-    """mu^i of p in <B>: coefficients (w -> c) with pi_F(x_i p) = x_i p - sum c f_w."""
-    out = {}
-    f = p.field
-    xi = mono_var(bb.nvars, i)
-    for b, c in p.terms.items():
-        w = mono_mul(b, xi)
-        if w not in bb.basis_set:
-            out[w] = f.normalize(out.get(w, f.zero) + c)
-    return out
-
-
-def _const_coeffs(coeffs: dict, bb: BorderBasis) -> dict:
+def mu(v, i: int, bb: BorderBasis) -> dict:
+    """mu^i of the element p of <B> with coordinates v: constant coefficients
+    (w -> h_w) with pi(x_i p) = x_i p - Sum h_w f_w."""
     f = bb.field
-    return {w: Polynomial(f, bb.nvars, {(0,) * bb.nvars: c}) for w, c in coeffs.items()}
+    xi = mono_var(bb.nvars, i)
+    one = mono_one(bb.nvars)
+    out = {}
+    for b, c in zip(bb.basis, v):
+        if not f.is_zero(c):
+            w = mono_mul(b, xi)
+            if w not in bb.basis_set:
+                out[w] = Polynomial(f, bb.nvars, {one: c})
+    return out
 
 
 def _add_vec(a: dict, b: dict) -> dict:
@@ -83,8 +81,8 @@ def _add_vec(a: dict, b: dict) -> dict:
     return {w: h for w, h in out.items() if not h.is_zero()}
 
 
-def _scale_vec(a: dict, c, field) -> dict:
-    return {w: h.scale(c) for w, h in a.items() if not field.is_zero(c)}
+def _scale_vec(a: dict, c) -> dict:
+    return {w: h.scale(c) for w, h in a.items()}
 
 
 def expand_syzygy(coeffs: dict, bb: BorderBasis) -> Polynomial:
@@ -123,20 +121,19 @@ def generate_syzygies(bb: BorderBasis):
         u1 = mono_mul(b, mono_var(n, i))
         u2 = mono_mul(b, mono_var(n, j))
         in1, in2 = u1 in bb.basis_set, u2 in bb.basis_set
+        # not _lift(x_i, u2) - _lift(x_j, u1): the same relation in another key
+        # order, which can flip the f64 verify_syzygy verdict on the unscaled sum
         coeffs = {}
         if not in2:
             coeffs[u2] = Polynomial.monomial(f, n, mono_var(n, i))
         if not in1:
             coeffs[u1] = Polynomial.monomial(f, n, mono_var(n, j), minus_one)
-        c_i = ms.poly_of(ms.matrices[i][k])
-        c_j = ms.poly_of(ms.matrices[j][k])
         lifted = _add_vec(
-            _const_coeffs({w: f.normalize(-c) for w, c in mu(c_i, j, bb).items()}, bb),
-            _const_coeffs(mu(c_j, i, bb), bb),
+            mu([f.normalize(-c) for c in ms.matrices[i][k]], j, bb), mu(ms.matrices[j][k], i, bb)
         )
         coeffs = _add_vec(coeffs, lifted)
         if in2:
-            coeffs = _scale_vec(coeffs, minus_one, f)
+            coeffs = _scale_vec(coeffs, minus_one)
         if not (in1 or in2):
             kind = KIND_ACROSS_STREET
         elif mono_mul(u1, mono_var(n, j)) in bb.basis_set:
@@ -154,33 +151,37 @@ def generate_syzygies(bb: BorderBasis):
 # reduction of arbitrary syzygies modulo the commutation generators
 
 
-def _decomposition_vector(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
-    """Syzygy-vector T with Sum T_w f_w = m*theta - pi^e(m*theta).
+def _lift(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
+    """T with Sum T_w f_w = m*theta - pi(m*theta), for theta in B+.
 
-    Built by peeling the leftmost variable of m; T has the term m*e_theta
-    plus lower-degree mu contributions.
+    Starts from T = e_theta (nothing when theta lies in B) and v, the
+    coordinates of pi(theta); then, for each variable x_i of m from the last,
+    T <- x_i*T + mu^i(v) and v <- M_i v.
     """
-    n = bb.nvars
-    if mono_size(m) == 0:
-        return _const_coeffs({theta: bb.field.one}, bb)
-    i = next(k for k, e in enumerate(m) if e > 0)
-    m_prev = mono_div(m, mono_var(n, i))
-    prev = _decomposition_vector(m_prev, theta, bb)
-    shifted = {w: h.mul_monomial(mono_var(n, i)) for w, h in prev.items()}
-    inner = normal_form(Polynomial.monomial(bb.field, n, mono_mul(m_prev, theta)), bb.ms, bb)
-    return _add_vec(shifted, _const_coeffs(mu(inner, i, bb), bb))
+    f, n, ms = bb.field, bb.nvars, bb.ms
+    rule = bb.rules.get(theta)
+    if rule is None:
+        T, v = {}, [f.one if b == theta else f.zero for b in ms.basis]
+    else:
+        T, v = {theta: Polynomial.monomial(f, n, mono_one(n))}, ms.vector_of(rule.tail)
+    xs = [i for i in reversed(range(n)) for _ in range(m[i])]
+    for k, i in enumerate(xs):
+        if k:  # the last M_i v would go unread
+            v = ms.apply(xs[k - 1], v)
+        T = _add_vec({w: h.mul_monomial(mono_var(n, i)) for w, h in T.items()}, mu(v, i, bb))
+    return T
 
 
-def _exchange_partner(u: Monomial, bb: BorderBasis):
-    """Deterministic (m', theta') with m'*theta' = u and b-index(u) = |m'| + 1."""
-    delta = b_index(u, bb.basis_set)
-    for b in bb.basis:  # bb.basis is canonically sorted
-        if mono_divides(b, u) and mono_size(u) - mono_size(b) == delta:
-            q = mono_div(u, b)
-            j = next(k for k, e in enumerate(q) if e > 0)
-            theta = mono_mul(b, mono_var(bb.nvars, j))
-            return mono_div(u, theta), theta
-    raise SyzygyError(f"no exchange partner for {u}")
+def _exchange_partner(u: Monomial, delta: int, bb: BorderBasis):
+    """Deterministic (m', theta') with m'*theta' = u, given delta = b-index(u):
+    |m'| = delta - 1 and theta' in the border, or (1, u) when u lies in B."""
+    if delta == 0:
+        return mono_one(bb.nvars), u
+    # bb.basis is canonically sorted; 1 in B guarantees a divisor at distance delta
+    b = next(b for b in bb.basis if mono_divides(b, u) and mono_size(u) - mono_size(b) == delta)
+    j = next(k for k, e in enumerate(mono_div(u, b)) if e > 0)
+    theta = mono_mul(b, mono_var(bb.nvars, j))
+    return mono_div(u, theta), theta
 
 
 def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
@@ -195,58 +196,41 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
     if not verify_syzygy(coeffs, bb):
         raise SyzygyError("input is not a syzygy: Sum h_w f_w != 0")
     f = bb.field
+    minus_one = f.normalize(-f.one)
     residual = {w: h for w, h in coeffs.items() if not h.is_zero()}
-
-    def terms():
-        for w in sorted(residual, key=mono_key):
-            for m in sorted(residual[w].terms, key=mono_key):
-                yield m, w, residual[w].terms[m]
-
     for _ in range(_REDUCE_STEP_LIMIT):
         if not residual:
             return {}
-        # phase 1: normalize so every term has b-index(m*theta) == |m| + 1,
+        terms = [
+            (m, w, residual[w].terms[m])
+            for w in sorted(residual, key=mono_key)
+            for m in sorted(residual[w].terms, key=mono_key)
+        ]
+        # phase 1: normalize so every term has b-index(m*w) == |m| + 1,
         # rewriting maximal-index offenders first
-        offender = None
-        best_key = None
-        for m, w, lam in terms():
-            u = mono_mul(m, w)
-            delta = b_index(u, bb.basis_set)
-            if delta < mono_size(m) + 1:
-                key = (delta, mono_size(m), tuple(m))
-                if best_key is None or key > best_key:
-                    best_key = key
-                    offender = (m, w, lam, u, delta)
-        if offender is not None:
-            m, w, lam, u, delta = offender
-            exchange = _decomposition_vector(m, w, bb)
-            if delta > 0:
-                m2, w2 = _exchange_partner(u, bb)
-                exchange = _add_vec(
-                    exchange,
-                    _scale_vec(_decomposition_vector(m2, w2, bb), f.normalize(-f.one), f),
-                )
-            # exchange is a syzygy whose leading term is m*e_w
-            residual = _add_vec(residual, _scale_vec(exchange, f.normalize(-lam), f))
-            continue
-        # phase 2: all terms normalized; cancel the maximal-index pair
-        groups = {}
-        for m, w, lam in terms():
-            groups.setdefault(mono_mul(m, w), []).append((m, w, lam))
-        pair_u = None
-        for u, entries in groups.items():
-            if len(entries) >= 2:
-                key = (b_index(u, bb.basis_set), mono_key(u))
-                if pair_u is None or key > pair_u[0]:
-                    pair_u = (key, u, entries)
-        if pair_u is None:
-            # nothing cancels: impossible for a genuine syzygy
-            return residual
-        _, u, entries = pair_u
-        (m, w, lam), (m2, w2, _) = entries[0], entries[1]
-        exchange = _add_vec(
-            _decomposition_vector(m, w, bb),
-            _scale_vec(_decomposition_vector(m2, w2, bb), f.normalize(-f.one), f),
-        )
-        residual = _add_vec(residual, _scale_vec(exchange, f.normalize(-lam), f))
+        offenders = []
+        for m, w, lam in terms:
+            delta = b_index(mono_mul(m, w), bb.basis_set)
+            if delta <= mono_size(m):
+                offenders.append((delta, mono_size(m), m, w, lam))
+        if offenders:
+            delta, _, m, w, lam = max(offenders, key=lambda t: t[:3])
+            m2, w2 = _exchange_partner(mono_mul(m, w), delta, bb)
+        else:
+            # phase 2: all terms normalized; cancel the maximal-index pair
+            groups = {}
+            for m, w, lam in terms:
+                groups.setdefault(mono_mul(m, w), []).append((m, w, lam))
+            pairs = [
+                ((b_index(u, bb.basis_set), mono_key(u)), entries)
+                for u, entries in groups.items()
+                if len(entries) >= 2
+            ]
+            if not pairs:
+                # nothing cancels: impossible for a genuine syzygy
+                return residual
+            (m, w, lam), (m2, w2, _) = max(pairs, key=lambda t: t[0])[1][:2]
+        # a syzygy whose leading term is m*e_w
+        exchange = _add_vec(_lift(m, w, bb), _scale_vec(_lift(m2, w2, bb), minus_one))
+        residual = _add_vec(residual, _scale_vec(exchange, f.normalize(-lam)))
     raise SyzygyError("reduction did not terminate within the step limit")

@@ -408,3 +408,24 @@ def test_cli_float_overflow_in_the_loop_is_numeric(tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ")
+
+
+def test_cli_huge_rational_coefficient_is_reported(capsys, tmp_path):
+    # 10^6000 has more digits than str(int) prints by default (4300)
+    path = tmp_path / "sys.txt"
+    path.write_text("ring x y over qq\nx - 1e3000\ny^2 - x^2\n")
+    code, out = run(capsys, ["basis", "--json", str(path)])
+    assert code == 0
+    rules = {r["lead"]: r["tail"] for r in json.loads(out)["rules"]}
+    assert rules["y^2"] == {"1": "1" + "0" * 6000}
+
+
+def test_cli_failed_eigen_solve_is_numeric(capsys, monkeypatch):
+    import numpy as np
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    assert main(["katsura", "-n", "2", "solve"]) == 3
+    assert "Eigenvalues did not converge" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from borderbasis.fields import (
     FloatField,
     PrimeField,
     RationalField,
+    is_prime,
 )
 
 
@@ -36,6 +37,19 @@ def test_prime_field_rejects_composite():
         PrimeField(91)
     PrimeField(65537)
     PrimeField(1000003)
+
+
+# Carmichael numbers, a strong pseudoprime to bases 2, 3, 5, 7, and the two
+# largest primes below 2^31
+@pytest.mark.parametrize("p", [561, 1105, 25326001, 2147483629, 2147483647])
+def test_prime_field_primality_near_the_trust_bound(p):
+    prime = p in (2147483629, 2147483647)
+    assert is_prime(p) == prime
+    if prime:
+        assert PrimeField(p).p == p
+    else:
+        with pytest.raises(ValueError):
+            PrimeField(p)
 
 
 def test_float_eps_zero_test():

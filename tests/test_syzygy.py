@@ -5,7 +5,8 @@ from borderbasis import (
     normal_form,
     reduce_syzygy,
 )
-from borderbasis.poly import mono_key, stable_by_division
+from borderbasis.fields import parse_field
+from borderbasis.poly import mono_key, monomials_of_degree_at_most, stable_by_division
 from borderbasis.syzygy import (
     KIND_ACROSS_STREET,
     KIND_NEXT_DOOR,
@@ -23,17 +24,20 @@ from conftest import compute, poly_of, random_poly, random_regular_system, seede
 
 def test_mu_basics(qq, mac):
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
+    vec = bb.ms.vector_of
     # x_i b inside B: all mu zero
-    assert mu(Polynomial.monomial(qq, 2, (0, 0)), 0, bb) == {}
+    assert mu(vec(Polynomial.monomial(qq, 2, (0, 0))), 0, bb) == {}
     # single border monomial: mu = 1 at x0^2
-    assert mu(Polynomial.monomial(qq, 2, (1, 0)), 0, bb) == {(2, 0): qq.one}
+    one = Polynomial(qq, 2, {(0, 0): qq.one})
+    assert mu(vec(Polynomial.monomial(qq, 2, (1, 0))), 0, bb) == {(2, 0): one}
 
 
 def test_mu_linearity(qq, mac):
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
     half = qq.from_fraction(__import__("fractions").Fraction(1, 2))
     p = Polynomial(qq, 2, {(1, 0): half, (0, 1): half})
-    assert mu(p, 0, bb) == {(2, 0): half}  # x0*x1 lands in B, only x0^2 contributes
+    # x0*x1 lands in B, only x0^2 contributes
+    assert mu(bb.ms.vector_of(p), 0, bb) == {(2, 0): Polynomial(qq, 2, {(0, 0): half})}
 
 
 def test_reference_next_door(qq, mac):
@@ -139,27 +143,43 @@ def test_random_ideal_combination_syzygies(fp, mac):
 
 def test_decomposition_order_independence(qq, mac):
     # Xi along two variable orders differs by something reducing to zero
-    from borderbasis.syzygy import _decomposition_vector, _add_vec, _scale_vec
+    from borderbasis.syzygy import _add_vec, _lift, _scale_vec
 
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
     theta = (2, 0)
-    # m = x0*x1 applied to theta: peel x0 first vs x1 first
+    # m = x0*x1 applied to theta: x0 outermost (the lift) vs x1 outermost
     m = (1, 1)
-    t_left = _decomposition_vector(m, theta, bb)
+    t_left = _lift(m, theta, bb)
 
-    # peel the other variable first by relabeling through a manual recursion
+    # peel the other variable first by one manual step on the lift of x0
     from borderbasis.poly import mono_div, mono_mul, mono_var
-    from borderbasis.syzygy import _const_coeffs
 
     m_prev = mono_div(m, mono_var(2, 1))
-    prev = _decomposition_vector(m_prev, theta, bb)
+    prev = _lift(m_prev, theta, bb)
     shifted = {w: h.mul_monomial(mono_var(2, 1)) for w, h in prev.items()}
     inner = normal_form(Polynomial.monomial(qq, 2, mono_mul(m_prev, theta)), bb.ms, bb)
-    t_right = _add_vec(shifted, _const_coeffs(mu(inner, 1, bb), bb))
+    t_right = _add_vec(shifted, mu(bb.ms.vector_of(inner), 1, bb))
 
-    diff = _add_vec(t_left, _scale_vec(t_right, qq.normalize(-qq.one), qq))
+    diff = _add_vec(t_left, _scale_vec(t_right, qq.normalize(-qq.one)))
     assert expand_syzygy(diff, bb).is_zero()
     assert reduce_syzygy(diff, bb) == {}
+
+
+@pytest.mark.parametrize("spec", ["qq", "fp:65537"], ids=["qq", "fp"])
+def test_lift_expands_to_projection(spec):
+    from borderbasis.poly import border, connected_component_of_one, mono_mul
+    from borderbasis.syzygy import _lift
+
+    f = parse_field(spec)
+    srcs = ["-3*x1^2 + 8*x0*x1 + 8*x0^2 + 7*x1", "x0^2*x1 - 8*x0^3 - 2*x1^2 + 8*x0^2"]
+    bb = compute(srcs, f, choice="drvl")
+    # B = {1, x0, x1, x0*x1, x1^2, x0^2*x1}: connected to 1, not an order ideal
+    assert connected_component_of_one(bb.basis_set) == bb.basis_set
+    assert not stable_by_division(bb.basis_set)
+    for theta in sorted(bb.basis_set | border(bb.basis_set), key=mono_key):
+        for m in monomials_of_degree_at_most(2, 2):
+            u = Polynomial.monomial(f, 2, mono_mul(m, theta))
+            assert expand_syzygy(_lift(m, theta, bb), bb) == u.sub(normal_form(u, bb.ms, bb))
 
 
 def test_oracle_syzygy_completeness_small(fp, mac):
