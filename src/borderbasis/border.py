@@ -17,6 +17,7 @@ from .fields import FloatField
 from .poly import (
     Monomial,
     Polynomial,
+    axpy,
     border,
     connected_component_of_one,
     divisor_closure,
@@ -93,15 +94,9 @@ def reduce_by_rules(p: Polynomial, rules: dict, B: set) -> Polynomial:
     f = p.field
     acc = {}
     for m in sorted(p.terms, key=mono_key):
-        c = p.terms[m]
-        if m in B:
-            acc[m] = f.normalize(acc.get(m, f.zero) + c)
-            continue
-        rule = rules.get(m)
-        if rule is None:
+        if m not in B and m not in rules:
             raise NotReducibleError(m)
-        for t, ct in rule.tail.terms.items():
-            acc[t] = f.normalize(acc.get(t, f.zero) + c * ct)
+        axpy(f, acc, p.terms[m], {m: f.one} if m in B else rules[m].tail.terms)
     return Polynomial(f, p.nvars, acc)
 
 
@@ -136,7 +131,7 @@ class _Echelon:
     The columns ``cols`` are B+ sorted by `mono_key`, so a larger index is a
     larger monomial; ``col`` maps a monomial to its index, ``border`` flags
     the border columns and ``shift[i][k]`` is the column of x_i*cols[k] (None
-    outside B+).  Rows are `Polynomial`s keyed by column index.
+    outside B+).  Rows are ``{column: coefficient}`` dicts updated by `axpy`.
     """
 
     def __init__(self, B, cf: ChoiceFunction, field, n: int):
@@ -157,51 +152,52 @@ class _Echelon:
         keys = [self.col.get(m) for m in p.terms]
         if None in keys:
             return None
-        return Polynomial(self.field, self.n, dict(zip(keys, p.terms.values())))
+        return dict(zip(keys, p.terms.values()))
 
-    def poly(self, row: Polynomial) -> Polynomial:
-        return Polynomial(self.field, self.n, {self.cols[k]: c for k, c in row.terms.items()})
+    def poly(self, row: dict) -> Polynomial:
+        return Polynomial(self.field, self.n, {self.cols[k]: c for k, c in row.items()})
 
-    def multiples(self, row: Polynomial):
+    def multiples(self, row: dict):
         """The rows x_i*row that stay inside B+ (x_i has coefficient one)."""
         for shift in self.shift:
-            keys = [shift[k] for k in row.terms]
+            keys = [shift[k] for k in row]
             if None not in keys:
-                yield Polynomial(self.field, self.n, dict(zip(keys, row.terms.values())))
+                yield dict(zip(keys, row.values()))
 
-    def _select_pivot(self, row: Polynomial) -> int:
+    def _select_pivot(self, row: dict) -> int:
         """Pivot of a row: a degree-maximal border column when one exists (so
         the element can serve as a rewriting rule), the choice-function pick
         otherwise.
         """
-        d = max(self.size[k] for k in row.terms)
-        top_border = [k for k in row.terms if self.border[k] and self.size[k] == d]
+        d = max(self.size[k] for k in row)
+        top_border = [k for k in row if self.border[k] and self.size[k] == d]
         if len(top_border) == 1:
             return top_border[0]
-        keys = top_border or row.terms
-        pick = Polynomial(self.field, self.n, {self.cols[k]: row.terms[k] for k in keys})
+        pick = self.poly({k: row[k] for k in top_border or row})
         return self.col[_gamma(self.cf, pick)]
 
-    def reduce(self, row: Polynomial) -> Polynomial:
+    def reduce(self, row: dict) -> dict:
+        """Eliminate the pivots from the row in place, the largest column first."""
+        f = self.field
         while True:
-            hit = max((k for k in row.terms if k in self.pivot_of), default=None)
+            hit = max((k for k in row if k in self.pivot_of), default=None)
             if hit is None:
                 return row
-            e = self.elements[self.pivot_of[hit]]
-            row = row.sub(e.scale(row.terms[hit]))
+            axpy(f, row, f.normalize(-row[hit]), self.elements[self.pivot_of[hit]])
 
-    def insert(self, row: Polynomial):
+    def insert(self, row: dict):
         """Reduce a row and add it; returns the inserted element or None."""
+        f = self.field
         row = self.reduce(row)
-        if row.is_zero():
+        if not row:
             return None
         pivot = self._select_pivot(row)
-        row = row.scale(self.field.inv(row.terms[pivot]))
+        row = axpy(f, {}, f.inv(row[pivot]), row)
         idx = len(self.elements)
-        # back-reduce: keep other elements free of the new pivot
+        # back-reduce on copies: the caller's frontier keeps the rows as inserted
         for k, e in enumerate(self.elements):
-            if pivot in e.terms:
-                self.elements[k] = e.sub(row.scale(e.terms[pivot]))
+            if pivot in e:
+                self.elements[k] = axpy(f, dict(e), f.normalize(-e[pivot]), row)
         self.elements.append(row)
         self.pivot_of[pivot] = idx
         return row
@@ -213,17 +209,12 @@ class _Echelon:
         if not isinstance(self.field, FloatField):
             return [q for q in map(self.insert, rows) if q is not None]
         inserted = []
-        pending = [r for r in map(self.reduce, rows) if not r.is_zero()]
+        pending = [r for r in map(self.reduce, rows) if r]
         while pending:
-            best_i, best_mag = -1, -1.0
-            for i, row in enumerate(pending):
-                mag = self.field.magnitude(row.terms[self._select_pivot(row)])
-                if mag > best_mag:
-                    best_i, best_mag = i, mag
-            q = self.insert(pending.pop(best_i))
-            if q is not None:
-                inserted.append(q)
-            pending = [r for r in map(self.reduce, pending) if not r.is_zero()]
+            # pending rows are reduced and nonzero, so each one is inserted
+            mags = [self.field.magnitude(r[self._select_pivot(r)]) for r in pending]
+            inserted.append(self.insert(pending.pop(mags.index(max(mags)))))
+            pending = [r for r in map(self.reduce, pending) if r]
         return inserted
 
 
@@ -330,7 +321,7 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
         # no pivot, so it stays uncovered and the grow move takes it
         rules = {}
         for k, idx in ech.pivot_of.items():
-            if sum(ech.border[c] for c in ech.elements[idx].terms) == 1:
+            if sum(ech.border[c] for c in ech.elements[idx]) == 1:
                 rules[ech.cols[k]] = RewritingRule.from_poly(elements[idx], ech.cols[k])
 
         uncovered = [m for k, m in enumerate(ech.cols) if ech.border[k] and m not in rules]

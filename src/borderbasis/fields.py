@@ -104,7 +104,10 @@ class RationalField(Field):
         return num if a.denominator == 1 else f"{num}/{Decimal(a.denominator)}"
 
     def to_complex(self, a):
-        return complex(a)
+        try:
+            return complex(a)
+        except OverflowError:
+            raise NumericError("a coefficient is outside the float range") from None
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

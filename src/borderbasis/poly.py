@@ -56,12 +56,23 @@ def mono_key(m: Monomial):
     return (mono_size(m), tuple(-e for e in m))
 
 
-class Polynomial:
-    """Immutable sparse polynomial over a coefficient field.
+def axpy(field: Field, acc: dict, c, terms: dict) -> dict:
+    """Add c*terms to acc in place, term by term, and return acc: a zero
+    product is skipped and a zero sum deletes its key, so the other keys keep
+    their order.  Keys are only compared: monomials and column indices serve."""
+    for k, a in terms.items():
+        ca = field.normalize(c * a)
+        if not field.is_zero(ca):
+            v = field.normalize(acc.get(k, field.zero) + ca)
+            if field.is_zero(v):
+                del acc[k]
+            else:
+                acc[k] = v
+    return acc
 
-    Keys are monomials, except in the border-basis echelon, whose rows key the
-    same maps by column index in B+ and reuse the linear operations here.
-    """
+
+class Polynomial:
+    """Immutable sparse polynomial over a coefficient field, keyed by monomials."""
 
     __slots__ = ("field", "nvars", "terms", "_hash")
 
@@ -82,6 +93,8 @@ class Polynomial:
 
     @classmethod
     def from_terms(cls, field, nvars, pairs: Iterable):
+        # unlike axpy, a partial sum below eps is kept and only the total is
+        # filtered, so the f64 zero test of syzygy.expand_syzygy sees the whole sum
         acc = {}
         for m, c in pairs:
             acc[m] = field.normalize(acc.get(m, field.zero) + c)
@@ -104,29 +117,26 @@ class Polynomial:
         """Grading degree; -1 for the zero polynomial."""
         return max((mono_size(m) for m in self.terms), default=-1)
 
+    def _of(self, terms: dict) -> "Polynomial":
+        """A polynomial of this ring over terms already nonzero (no filter)."""
+        p = Polynomial.__new__(Polynomial)
+        p.field, p.nvars, p.terms, p._hash = self.field, self.nvars, terms, None
+        return p
+
     def add(self, other: "Polynomial") -> "Polynomial":
-        f = self.field
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = f.normalize(acc.get(m, f.zero) + c)
-        return Polynomial(f, self.nvars, acc)
+        return self._of(axpy(self.field, dict(self.terms), self.field.one, other.terms))
 
     def sub(self, other: "Polynomial") -> "Polynomial":
         f = self.field
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = f.normalize(acc.get(m, f.zero) - c)
-        return Polynomial(f, self.nvars, acc)
+        return self._of(axpy(f, dict(self.terms), f.normalize(-f.one), other.terms))
 
     def neg(self) -> "Polynomial":
-        f = self.field
-        return Polynomial(f, self.nvars, {m: f.normalize(-c) for m, c in self.terms.items()})
+        return Polynomial(self.field, self.nvars).sub(self)
 
     def scale(self, c) -> "Polynomial":
-        f = self.field
-        if f.is_zero(c):
-            return Polynomial(f, self.nvars)
-        return Polynomial(f, self.nvars, {m: f.normalize(c * v) for m, v in self.terms.items()})
+        if self.field.is_zero(c):
+            return Polynomial(self.field, self.nvars)
+        return self._of(axpy(self.field, {}, c, self.terms))
 
     def mul_monomial(self, m: Monomial, c=None) -> "Polynomial":
         f = self.field
@@ -400,13 +410,7 @@ def parse_polynomial(text: str, varnames, field, lineno=1) -> Polynomial:
         except FieldError as exc:
             raise ParseError(str(exc), lineno, first) from exc
         # term by term, as the f64 zero filter applies to each term on its own
-        if not field.is_zero(c):
-            m = tuple(exps)
-            c = field.normalize(terms.get(m, field.zero) + c)
-            if field.is_zero(c):
-                del terms[m]
-            else:
-                terms[m] = c
+        axpy(field, terms, field.one, {tuple(exps): c})
         if toks[k][0] not in ("+", "-"):
             break
     if toks[k][0] != "end":

@@ -102,6 +102,24 @@ def test_interreduce_dependent(qq, mac):
     assert ech.poly(ech.elements[0]).support() - B == {(2, 0)}
 
 
+def test_back_reduction_keeps_inserted_rows(qq, mac):
+    # the saturation frontier holds the returned rows while later inserts
+    # back-reduce the elements, so those must be reduced on copies
+    ech = _Echelon({(0,), (1,), (2,)}, mac, qq, 1)
+    returned = ech.insert(ech.row(poly_of("x0^3 + x0^2", qq, 1)))
+    ech.insert(ech.row(poly_of("x0^2 - 1", qq, 1)))
+    assert ech.poly(returned) == poly_of("x0^3 + x0^2", qq, 1)
+    assert ech.poly(ech.elements[0]) == poly_of("x0^3 + 1", qq, 1)
+
+
+def test_pivot_with_inverse_below_eps_keeps_its_row(f64, mac):
+    # 1/1e11 is below eps; scaling by it must not empty the row, or the empty
+    # element's pivot column could never be reduced and the loop would hang
+    ech = _Echelon({(0,)}, mac, f64, 1)
+    ech.insert(ech.row(poly_of("1e11*x0 - 1", f64, 1)))
+    assert ech.poly(ech.elements[0]).support() == {(1,)}
+
+
 def test_univariate_basis(qq, mac):
     bb = compute(["x0^2 - 3*x0 + 2"], qq, nvars=1)
     assert bb.basis == [(0,), (1,)]

@@ -420,6 +420,14 @@ def test_cli_huge_rational_coefficient_is_reported(capsys, tmp_path):
     assert rules["y^2"] == {"1": "1" + "0" * 6000}
 
 
+def test_cli_solve_huge_rational_coefficient_is_numeric(capsys, tmp_path):
+    # 10^400 is exact over qq, but the eigen solve needs it as a complex float
+    path = tmp_path / "sys.txt"
+    path.write_text("ring x y over qq\nx - 1e400\ny^2 - 1\n")
+    assert main(["solve", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_failed_eigen_solve_is_numeric(capsys, monkeypatch):
     import numpy as np
 

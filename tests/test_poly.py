@@ -13,6 +13,7 @@ from borderbasis import (
 )
 from borderbasis.fields import FloatField, PrimeField, RationalField
 from borderbasis.poly import (
+    axpy,
     b_index,
     border,
     connected_component_of_one,
@@ -209,6 +210,33 @@ def test_print_parse_roundtrip(field, pairs):
     p = Polynomial.from_terms(field, 2, [(m, field.from_fraction(q)) for m, q in pairs])
     back = parse_polynomial(format_poly(p), ["x0", "x1"], field)
     assert back == p
+
+
+@pytest.mark.parametrize(
+    "field", [RationalField(), PrimeField(65537), FloatField(1e-10)], ids=lambda f: f.name
+)
+def test_axpy_updates_in_place(field):
+    k = field.from_int
+    # integer keys, as in the echelon's rows, next to monomial keys
+    acc = {(2, 0): k(1), 3: k(2), (0, 1): k(1)}
+    terms = {3: k(2), (1, 0): k(1), (0, 1): k(5)}
+    assert axpy(field, acc, field.normalize(-field.one), terms) is acc
+    # the zero sum at 3 is deleted, the other keys keep their order, new keys follow
+    assert list(acc.items()) == [((2, 0), k(1)), ((0, 1), k(-4)), ((1, 0), k(-1))]
+    assert axpy(field, acc, field.zero, {(5, 5): k(1)}) == {
+        (2, 0): k(1), (0, 1): k(-4), (1, 0): k(-1)
+    }
+
+
+def test_products_sums_and_scales_below_eps_are_zero():
+    f = FloatField(1e-10)
+    acc = {0: 1.0, 1: 2.0}
+    axpy(f, acc, 1e-6, {2: 1e-5, 1: 1.0})  # 1e-11 is skipped, 1e-6 is added
+    assert list(acc.items()) == [(0, 1.0), (1, 2.000001)]
+    axpy(f, acc, 1.0, {0: -1.0 + 1e-11})  # a sum of about 1e-11 deletes its key
+    assert list(acc) == [1]
+    # a factor below eps scales to 0, although 1e-11 * 1e6 is not below eps
+    assert Polynomial(f, 1, {(1,): 1e6}).scale(1e-11).is_zero()
 
 
 def test_reducing_grading_law():
