@@ -6,18 +6,19 @@ matrices.  Includes choice functions generalizing monomial orders, the
 commutation syzygies, and numerical root extraction by eigenvectors.
 
 The package exports the pipeline the CLI and the README use, the types it
-returns and the errors it raises; helpers live in the submodules.
+returns and the errors it raises; helpers live in the submodules.  Every
+error derives from one of three bases, one per CLI exit code: InputError
+(1), NotZeroDimensionalError (2) and NumericError (3).
 """
 
 from .border import (
     BorderBasis,
-    DegenerateInputError,
     InconsistentSystemError,
     NotZeroDimensionalError,
     compute_border_basis,
 )
 from .choice import ChoiceFunction, parse_choice
-from .fields import Field, FieldError, parse_field
+from .fields import Field, InputError, NumericError, parse_field
 from .poly import (
     ParseError,
     Polynomial,
@@ -40,13 +41,13 @@ from .systems import gen_katsura
 __all__ = [
     "BorderBasis",
     "ChoiceFunction",
-    "DegenerateInputError",
     "Field",
-    "FieldError",
     "InconsistentSystemError",
+    "InputError",
     "MultiplicationSystem",
     "NotABorderBasisError",
     "NotZeroDimensionalError",
+    "NumericError",
     "ParseError",
     "Polynomial",
     "RootSet",

@@ -1,5 +1,4 @@
-"""Rewriting families, border projection and the fixed-point border basis
-computation.
+"""Rewriting rules and the fixed-point border basis computation.
 
 The computation maintains a candidate quotient basis B (connected to 1) and a
 linear echelon of ideal elements supported in the prolongation of B.  Each
@@ -22,9 +21,7 @@ from .poly import (
     connected_component_of_one,
     divisor_closure,
     format_monomial,
-    mono_div,
     mono_key,
-    mono_lcm,
     mono_mul,
     mono_one,
     mono_size,
@@ -33,23 +30,16 @@ from .poly import (
 from .quotient import build_mult_system, commutators, normal_form
 
 
-class NotReducibleError(Exception):
-    """A support monomial in the border has no rewriting rule."""
-
-    def __init__(self, monomial):
-        super().__init__(f"no rewriting rule for border monomial {format_monomial(monomial)}")
-        self.monomial = monomial
+class NotZeroDimensionalError(Exception):
+    """Loop guard exceeded: the ideal is possibly not zero-dimensional.  The
+    base of every exit-2 error."""
 
 
-class DegenerateInputError(Exception):
+class DegenerateInputError(NotZeroDimensionalError):
     """All candidate pivots are eps-zero (float-field pivot failure)."""
 
 
-class NotZeroDimensionalError(Exception):
-    """Loop guard exceeded: the ideal is possibly not zero-dimensional."""
-
-
-class InconsistentSystemError(Exception):
+class InconsistentSystemError(NotZeroDimensionalError):
     """1 lies in the ideal; carries a witness polynomial."""
 
     def __init__(self, witness):
@@ -83,34 +73,6 @@ class RewritingRule:
 
     def __repr__(self):
         return f"RewritingRule({format_monomial(self.lead)} -> {self.tail!r})"
-
-
-def reduce_by_rules(p: Polynomial, rules: dict, B: set) -> Polynomial:
-    """The projection pi_F of p onto <B> through the rules (the tests'
-    reference for `normal_form`); p must be supported in B+.
-
-    Raises NotReducibleError when a border monomial has no rule.
-    """
-    f = p.field
-    acc = {}
-    for m in sorted(p.terms, key=mono_key):
-        if m not in B and m not in rules:
-            raise NotReducibleError(m)
-        axpy(f, acc, p.terms[m], {m: f.one} if m in B else rules[m].tail.terms)
-    return Polynomial(f, p.nvars, acc)
-
-
-def _rule_c_polynomial(r1: RewritingRule, r2: RewritingRule) -> Polynomial:
-    """Cross-multiplied difference of two rules (the tests' reference)."""
-    lcm = mono_lcm(r1.lead, r2.lead)
-    a = r1.poly().mul_monomial(mono_div(lcm, r1.lead))
-    b = r2.poly().mul_monomial(mono_div(lcm, r2.lead))
-    return a.sub(b)
-
-
-def check_reducing_family(rules: dict, B: set, lam: int) -> bool:
-    """True iff every border monomial of degree <= lam has a rule."""
-    return all(m in rules for m in border(B) if mono_size(m) <= lam)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +205,6 @@ class BorderBasis:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def rule_polys(self):
-        return [self.rules[m].poly() for m in sorted(self.rules, key=mono_key)]
 
     def to_json_dict(self, varnames=None):
         if varnames is None:

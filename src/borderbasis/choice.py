@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import random
 
+from .fields import InputError
 from .poly import Monomial, Polynomial, mono_size
 
 
-class NoChoosableMonomial(ValueError):
+class NoChoosableMonomial(InputError):
     """Raised when gamma is applied to a (possibly eps-)zero polynomial."""
 
 
@@ -41,9 +42,9 @@ class ChoiceFunction:
 
     def __init__(self, kind: str, seed: int = 0, eps: float = 0.0):
         if kind not in ("drvl", "dlex", "mac", "minsz", "mix"):
-            raise ValueError(f"unknown choice function {kind!r}")
+            raise InputError(f"unknown choice function {kind!r}")
         if not (math.isfinite(eps) and eps >= 0):
-            raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+            raise InputError(f"eps must be finite and nonnegative, got {eps!r}")
         self.kind = kind
         self.seed = seed
         self.eps = eps
@@ -104,7 +105,11 @@ def parse_choice(spec: str, eps: float = 0.0) -> ChoiceFunction:
     """Parse a CLI choice string: drvl|dlex|mac|minsz|mix:<seed>."""
     spec = spec.strip()
     if spec.startswith("mix:"):
-        return ChoiceFunction("mix", seed=int(spec[4:]), eps=eps)
+        try:
+            seed = int(spec[4:])
+        except ValueError:
+            raise InputError(f"invalid seed {spec[4:]!r} in choice {spec!r}") from None
+        return ChoiceFunction("mix", seed=seed, eps=eps)
     if spec == "mix":
         return ChoiceFunction("mix", seed=0, eps=eps)
     return ChoiceFunction(spec, eps=eps)

@@ -1,10 +1,12 @@
 """Command-line frontend.
 
 Subcommands: basis, matrices, syzygies, solve, normalform, katsura.  Reports
-are plain text by default and machine-readable with --json.  Exit codes:
-1 parse, usage or file error, 2 not zero-dimensional (or inconsistent / guard
-exceeded), 3 numeric failure (a failed eigen solve, a float overflow, or a
-syzygy that fails its expansion check).
+are plain text by default and machine-readable with --json.  Exit codes,
+one exception base each: 1 a usage error, an unreadable file (OSError) or an
+InputError (parse, field, choice or Katsura index); 2 NotZeroDimensionalError
+(guard exceeded, inconsistent or degenerate input); 3 NumericError (a failed
+eigen solve, a float overflow, or a syzygy that fails its expansion check).
+Any other exception is a fault of the program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -15,14 +17,9 @@ import json
 import sys
 import time
 
-from .border import (
-    DegenerateInputError,
-    InconsistentSystemError,
-    NotZeroDimensionalError,
-    compute_border_basis,
-)
+from .border import NotZeroDimensionalError, compute_border_basis
 from .choice import parse_choice
-from .fields import FieldError, NumericError, parse_field
+from .fields import InputError, NumericError, parse_field
 from .poly import (
     ParseError,
     format_monomial,
@@ -31,9 +28,9 @@ from .poly import (
     parse_polynomial,
     parse_system,
 )
-from .quotient import NotABorderBasisError, normal_form
-from .solve import SolveError, eigen_roots
-from .syzygy import SyzygyError, generate_syzygies
+from .quotient import normal_form
+from .solve import eigen_roots
+from .syzygy import generate_syzygies
 from .systems import KATSURA_FORMULA, gen_katsura
 
 EXIT_PARSE = 1
@@ -220,8 +217,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _katsura_unread_flags(args):
+    """The flags given to katsura that its action does not read."""
+    reads = {"print": (), "basis": ("--json", "--dump-matrices", "--syzygies")}
+    read = reads.get(args.action, ("--json", "--dump-matrices"))
+    given = {"--json": args.json, "--dump-matrices": args.dump_matrices, "--syzygies": args.syzygies}
+    return [flag for flag, value in given.items() if value and flag not in read]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "katsura" and (unread := _katsura_unread_flags(args)):
+        ap.error(f"katsura {args.action} does not take {', '.join(unread)}")
     try:
         if args.command == "katsura":
             if args.show:
@@ -236,23 +244,26 @@ def main(argv=None) -> int:
                 return 0
             command = args.action
         else:
-            if args.input == "-":
-                text = sys.stdin.read()
-            else:
-                with open(args.input, "r", encoding="utf-8") as fh:
-                    text = fh.read()
+            try:
+                if args.input == "-":
+                    text = sys.stdin.read()
+                else:
+                    with open(args.input, "r", encoding="utf-8") as fh:
+                        text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"input is not UTF-8 text: {exc}") from None
             override = parse_field(args.field) if args.field else None
             varnames, field, polys = parse_system(text, field_override=override)
             command = args.command
         return _run(args, command, text, varnames, field, polys)
     # OSError: an input or dump path that is missing or unreadable
-    except (ParseError, FieldError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotZeroDimensionalError, InconsistentSystemError, DegenerateInputError) as exc:
+    except NotZeroDimensionalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_ZERO_DIM
-    except (SolveError, NotABorderBasisError, SyzygyError, NumericError) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

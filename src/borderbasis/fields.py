@@ -14,16 +14,21 @@ from decimal import Decimal
 from fractions import Fraction
 
 
-class FieldError(Exception):
+class InputError(ValueError):
+    """Malformed or out-of-range input: the base of every exit-1 error."""
+
+
+class NumericError(Exception):
+    """A numeric failure, such as a float computation leaving the finite
+    range (overflow to inf or nan): the base of every exit-3 error."""
+
+
+class FieldError(InputError):
     pass
 
 
 class FieldDivisionError(FieldError):
     """Division by a (field-)zero element; signals a pivot failure upstream."""
-
-
-class NumericError(Exception):
-    """A float computation left the finite range (overflow to inf or nan)."""
 
 
 def is_prime(p: int) -> bool:
@@ -121,7 +126,7 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if p < 2**31 and not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise FieldError(f"modulus {p} is not prime")
         # above 2^31 primality is trusted (documented in the CLI help)
         self.p = p
         self.name = f"fp:{p}"
@@ -168,7 +173,7 @@ class FloatField(Field):
 
     def __init__(self, eps: float = DEFAULT_EPS):
         if not (math.isfinite(eps) and eps >= 0):
-            raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+            raise FieldError(f"eps must be finite and nonnegative, got {eps!r}")
         self.eps = eps
         self.name = f"f64:{eps:g}"
         self.zero = 0.0
@@ -207,15 +212,23 @@ class FloatField(Field):
         return hash(("f64", self.eps))
 
 
+def _spec_number(spec: str, kind, what: str):
+    text = spec.partition(":")[2]
+    try:
+        return kind(text)
+    except ValueError:
+        raise FieldError(f"invalid {what} {text!r} in field {spec!r}") from None
+
+
 def parse_field(spec: str) -> Field:
     """Parse a field selection string: ``qq``, ``fp:<p>``, ``f64:<eps>``."""
     spec = spec.strip()
     if spec == "qq":
         return RationalField()
     if spec.startswith("fp:"):
-        return PrimeField(int(spec[3:]))
+        return PrimeField(_spec_number(spec, int, "modulus"))
     if spec == "f64":
         return FloatField()
     if spec.startswith("f64:"):
-        return FloatField(float(spec[4:]))
-    raise ValueError(f"unknown field {spec!r} (expected qq, fp:<p> or f64:<eps>)")
+        return FloatField(_spec_number(spec, float, "eps"))
+    raise FieldError(f"unknown field {spec!r} (expected qq, fp:<p> or f64:<eps>)")

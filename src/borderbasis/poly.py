@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .fields import Field, FieldError, parse_field
+from .fields import Field, FieldError, InputError, parse_field
 
 Monomial = tuple
 
@@ -27,10 +27,6 @@ def mono_size(m: Monomial) -> int:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -244,17 +240,6 @@ def connected_component_of_one(B: set) -> set:
     return reach
 
 
-def stable_by_division(B: set) -> bool:
-    B = set(B)
-    for m in B:
-        n = len(m)
-        for i in range(n):
-            if m[i] > 0:
-                if tuple(e - (j == i) for j, e in enumerate(m)) not in B:
-                    return False
-    return True
-
-
 def divisor_closure(monomials: Iterable[Monomial]) -> set:
     """All divisors of the given monomials (a division-stable set)."""
     out = set()
@@ -293,7 +278,7 @@ def monomials_of_degree_at_most(n: int, d: int):
 # parsing and printing
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message, line=None, col=None):
         loc = "" if line is None else f" at line {line}, column {col}"
         super().__init__(f"{message}{loc}")
@@ -450,7 +435,7 @@ def parse_system(text: str, field_override=None):
                 raise ParseError("expected a single field after 'over'", lineno, 1)
             try:
                 field = parse_field(words[k + 1])
-            except ValueError as exc:
+            except FieldError as exc:
                 raise ParseError(str(exc), lineno, 1) from exc
             if field_override is not None:
                 field = field_override

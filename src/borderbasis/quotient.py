@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .fields import FloatField
+from .fields import FloatField, NumericError
 from .poly import (
     Monomial,
     Polynomial,
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from .border import BorderBasis
 
 
-class NotABorderBasisError(Exception):
+class NotABorderBasisError(NumericError):
     pass
 
 

@@ -11,12 +11,12 @@ import warnings
 
 import numpy as np
 
-from .fields import PrimeField
+from .fields import NumericError, PrimeField
 from .poly import Polynomial, mono_one, mono_var
 from .quotient import MultiplicationSystem
 
 
-class SolveError(Exception):
+class SolveError(NumericError):
     pass
 
 
@@ -93,7 +93,7 @@ def eigen_roots(ms: MultiplicationSystem, seed: int = 0, polys=None) -> RootSet:
     M = sum(t[i] * mats_t[i] for i in range(n))
     try:
         vals, vecs = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:  # a ValueError, which would read as a parse error
+    except np.linalg.LinAlgError as exc:  # a ValueError; a failed solve is numeric
         raise SolveError(f"eigen solve failed: {exc}") from exc
 
     # condition estimate of the eigenvector basis; large values flag a
@@ -127,12 +127,3 @@ def eigen_roots(ms: MultiplicationSystem, seed: int = 0, polys=None) -> RootSet:
         roots.append(tuple(root))
     resid = mnacr(roots, polys) if polys is not None else 0.0
     return RootSet(roots, resid, seed, cond)
-
-
-def rule_residual(roots, bb) -> float:
-    """max over roots and rules of |lead(root) - tail(root)|."""
-    best = 0.0
-    for root in roots:
-        for rule in bb.rule_polys():
-            best = max(best, abs(evaluate_complex(rule, root)))
-    return best

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 
-from .fields import Field
+from .fields import Field, InputError
 from .poly import Polynomial
 
 KATSURA_FORMULA = (
@@ -18,7 +18,7 @@ KATSURA_FORMULA = (
 def gen_katsura(field: Field, n: int):
     """The Katsura(n) system: n+1 unknowns, 2^n solutions."""
     if n < 1:
-        raise ValueError("katsura requires n >= 1")
+        raise InputError("katsura requires n >= 1")
     nv = n + 1
 
     def u(i):

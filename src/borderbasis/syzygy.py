@@ -14,14 +14,20 @@ is negated when u2 lies in B, so the term x_j*e_u1 leads.  Whether u1, u2 and
 x_i*x_j*b lie in B only labels the relation: next-door, non-stair or
 across-the-street.  These generate the whole syzygy module; reduce_syzygy
 implements the descent that rewrites any syzygy to zero modulo them.
+
+Inside this module a vector is flat: (m, w) -> coefficient, one key per term
+m*e_w, so `poly.axpy` updates it like any other sparse map.  The public
+functions take and return {w: Polynomial}; `_flat` and `_nested` convert.
 """
 
 from __future__ import annotations
 
 from .border import BorderBasis
+from .fields import NumericError
 from .poly import (
     Monomial,
     Polynomial,
+    axpy,
     b_index,
     mono_div,
     mono_divides,
@@ -41,7 +47,7 @@ KIND_ACROSS_STREET = "across_street"
 _REDUCE_STEP_LIMIT = 100000
 
 
-class SyzygyError(Exception):
+class SyzygyError(NumericError):
     pass
 
 
@@ -60,8 +66,8 @@ class SyzygyRelation:
 
 
 def mu(v, i: int, bb: BorderBasis) -> dict:
-    """mu^i of the element p of <B> with coordinates v: constant coefficients
-    (w -> h_w) with pi(x_i p) = x_i p - Sum h_w f_w."""
+    """mu^i of the element p of <B> with coordinates v: the constant
+    coefficients (1, w) -> h_w with pi(x_i p) = x_i p - Sum h_w f_w."""
     f = bb.field
     xi = mono_var(bb.nvars, i)
     one = mono_one(bb.nvars)
@@ -70,19 +76,21 @@ def mu(v, i: int, bb: BorderBasis) -> dict:
         if not f.is_zero(c):
             w = mono_mul(b, xi)
             if w not in bb.basis_set:
-                out[w] = Polynomial(f, bb.nvars, {one: c})
+                out[one, w] = c
     return out
 
 
-def _add_vec(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for w, h in b.items():
-        out[w] = out[w].add(h) if w in out else h
-    return {w: h for w, h in out.items() if not h.is_zero()}
+def _flat(coeffs: dict) -> dict:
+    """{w: Polynomial} as the flat vector (m, w) -> coefficient."""
+    return {(m, w): c for w, h in coeffs.items() for m, c in h.terms.items()}
 
 
-def _scale_vec(a: dict, c) -> dict:
-    return {w: h.scale(c) for w, h in a.items()}
+def _nested(vec: dict, bb: BorderBasis) -> dict:
+    """The flat vector (m, w) -> coefficient as {w: Polynomial}."""
+    terms = {}
+    for (m, w), c in vec.items():
+        terms.setdefault(w, {})[m] = c
+    return {w: Polynomial(bb.field, bb.nvars, t) for w, t in terms.items()}
 
 
 def expand_syzygy(coeffs: dict, bb: BorderBasis) -> Polynomial:
@@ -123,24 +131,23 @@ def generate_syzygies(bb: BorderBasis):
         in1, in2 = u1 in bb.basis_set, u2 in bb.basis_set
         # not _lift(x_i, u2) - _lift(x_j, u1): the same relation in another key
         # order, which can flip the f64 verify_syzygy verdict on the unscaled sum
-        coeffs = {}
+        vec = {}
         if not in2:
-            coeffs[u2] = Polynomial.monomial(f, n, mono_var(n, i))
+            vec[mono_var(n, i), u2] = f.one
         if not in1:
-            coeffs[u1] = Polynomial.monomial(f, n, mono_var(n, j), minus_one)
-        lifted = _add_vec(
-            mu([f.normalize(-c) for c in ms.matrices[i][k]], j, bb), mu(ms.matrices[j][k], i, bb)
-        )
-        coeffs = _add_vec(coeffs, lifted)
+            vec[mono_var(n, j), u1] = minus_one
+        lifted = mu([f.normalize(-c) for c in ms.matrices[i][k]], j, bb)
+        axpy(f, lifted, f.one, mu(ms.matrices[j][k], i, bb))
+        axpy(f, vec, f.one, lifted)
         if in2:
-            coeffs = _scale_vec(coeffs, minus_one)
+            vec = axpy(f, {}, minus_one, vec)
         if not (in1 or in2):
             kind = KIND_ACROSS_STREET
         elif mono_mul(u1, mono_var(n, j)) in bb.basis_set:
             kind = KIND_NON_STAIR
         else:
             kind = KIND_NEXT_DOOR
-        rel = SyzygyRelation(coeffs, kind, (b, i, j))
+        rel = SyzygyRelation(_nested(vec, bb), kind, (b, i, j))
         if not verify_syzygy(rel, bb):
             raise SyzygyError(f"generated relation fails to expand to zero: {rel!r}")
         out.append(rel)
@@ -152,7 +159,7 @@ def generate_syzygies(bb: BorderBasis):
 
 
 def _lift(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
-    """T with Sum T_w f_w = m*theta - pi(m*theta), for theta in B+.
+    """The flat T with Sum T_w f_w = m*theta - pi(m*theta), for theta in B+.
 
     Starts from T = e_theta (nothing when theta lies in B) and v, the
     coordinates of pi(theta); then, for each variable x_i of m from the last,
@@ -163,12 +170,13 @@ def _lift(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
     if rule is None:
         T, v = {}, [f.one if b == theta else f.zero for b in ms.basis]
     else:
-        T, v = {theta: Polynomial.monomial(f, n, mono_one(n))}, ms.vector_of(rule.tail)
+        T, v = {(mono_one(n), theta): f.one}, ms.vector_of(rule.tail)
     xs = [i for i in reversed(range(n)) for _ in range(m[i])]
     for k, i in enumerate(xs):
         if k:  # the last M_i v would go unread
             v = ms.apply(xs[k - 1], v)
-        T = _add_vec({w: h.mul_monomial(mono_var(n, i)) for w, h in T.items()}, mu(v, i, bb))
+        xi = mono_var(n, i)
+        T = axpy(f, {(mono_mul(u, xi), w): c for (u, w), c in T.items()}, f.one, mu(v, i, bb))
     return T
 
 
@@ -197,30 +205,26 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
         raise SyzygyError("input is not a syzygy: Sum h_w f_w != 0")
     f = bb.field
     minus_one = f.normalize(-f.one)
-    residual = {w: h for w, h in coeffs.items() if not h.is_zero()}
+    residual = _flat(coeffs)
     for _ in range(_REDUCE_STEP_LIMIT):
         if not residual:
             return {}
-        terms = [
-            (m, w, residual[w].terms[m])
-            for w in sorted(residual, key=mono_key)
-            for m in sorted(residual[w].terms, key=mono_key)
-        ]
+        keys = sorted(residual, key=lambda mw: (mono_key(mw[1]), mono_key(mw[0])))
         # phase 1: normalize so every term has b-index(m*w) == |m| + 1,
         # rewriting maximal-index offenders first
         offenders = []
-        for m, w, lam in terms:
+        for m, w in keys:
             delta = b_index(mono_mul(m, w), bb.basis_set)
             if delta <= mono_size(m):
-                offenders.append((delta, mono_size(m), m, w, lam))
+                offenders.append((delta, mono_size(m), m, w))
         if offenders:
-            delta, _, m, w, lam = max(offenders, key=lambda t: t[:3])
+            delta, _, m, w = max(offenders, key=lambda t: t[:3])
             m2, w2 = _exchange_partner(mono_mul(m, w), delta, bb)
         else:
             # phase 2: all terms normalized; cancel the maximal-index pair
             groups = {}
-            for m, w, lam in terms:
-                groups.setdefault(mono_mul(m, w), []).append((m, w, lam))
+            for m, w in keys:
+                groups.setdefault(mono_mul(m, w), []).append((m, w))
             pairs = [
                 ((b_index(u, bb.basis_set), mono_key(u)), entries)
                 for u, entries in groups.items()
@@ -228,9 +232,9 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
             ]
             if not pairs:
                 # nothing cancels: impossible for a genuine syzygy
-                return residual
-            (m, w, lam), (m2, w2, _) = max(pairs, key=lambda t: t[0])[1][:2]
+                return _nested(residual, bb)
+            (m, w), (m2, w2) = max(pairs, key=lambda t: t[0])[1][:2]
         # a syzygy whose leading term is m*e_w
-        exchange = _add_vec(_lift(m, w, bb), _scale_vec(_lift(m2, w2, bb), minus_one))
-        residual = _add_vec(residual, _scale_vec(exchange, f.normalize(-lam)))
+        exchange = axpy(f, _lift(m, w, bb), minus_one, _lift(m2, w2, bb))
+        axpy(f, residual, f.normalize(-residual[m, w]), exchange)
     raise SyzygyError("reduction did not terminate within the step limit")

@@ -1,8 +1,10 @@
-"""Shared fixtures and independent oracles for the test suite.
+"""Shared fixtures, independent oracles and reference helpers for the test
+suite.
 
 The oracles here deliberately avoid the library's reduction machinery:
 projection and syzygy kernels are recomputed by dense Gaussian elimination so
-agreement is meaningful.
+agreement is meaningful.  The rule-based projection `reduce_by_rules` and the
+other references below have no caller in the library.
 """
 
 import random
@@ -16,7 +18,16 @@ from borderbasis import (
     parse_field,
     parse_polynomial,
 )
-from borderbasis.poly import mono_key, mono_size, monomials_of_degree_at_most
+from borderbasis.poly import (
+    axpy,
+    border,
+    format_monomial,
+    mono_div,
+    mono_key,
+    mono_size,
+    monomials_of_degree_at_most,
+)
+from borderbasis.solve import evaluate_complex
 
 
 @pytest.fixture
@@ -82,6 +93,70 @@ def random_poly(rng, field, n, max_deg, density=0.5):
             if not field.is_zero(c):
                 terms[m] = c
     return Polynomial(field, n, terms)
+
+
+# ---------------------------------------------------------------------------
+# references: the rule-based projection and predicates on monomial sets
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def stable_by_division(B):
+    B = set(B)
+    for m in B:
+        n = len(m)
+        for i in range(n):
+            if m[i] > 0:
+                if tuple(e - (j == i) for j, e in enumerate(m)) not in B:
+                    return False
+    return True
+
+
+class NotReducibleError(Exception):
+    """A support monomial in the border has no rewriting rule."""
+
+    def __init__(self, monomial):
+        super().__init__(f"no rewriting rule for border monomial {format_monomial(monomial)}")
+        self.monomial = monomial
+
+
+def reduce_by_rules(p, rules, B):
+    """The projection pi_F of p onto <B> through the rules (the reference for
+    `normal_form`); p must be supported in B+.
+
+    Raises NotReducibleError when a border monomial has no rule.
+    """
+    f = p.field
+    acc = {}
+    for m in sorted(p.terms, key=mono_key):
+        if m not in B and m not in rules:
+            raise NotReducibleError(m)
+        axpy(f, acc, p.terms[m], {m: f.one} if m in B else rules[m].tail.terms)
+    return Polynomial(f, p.nvars, acc)
+
+
+def _rule_c_polynomial(r1, r2):
+    """Cross-multiplied difference of two rules."""
+    lcm = mono_lcm(r1.lead, r2.lead)
+    a = r1.poly().mul_monomial(mono_div(lcm, r1.lead))
+    b = r2.poly().mul_monomial(mono_div(lcm, r2.lead))
+    return a.sub(b)
+
+
+def check_reducing_family(rules, B, lam):
+    """True iff every border monomial of degree <= lam has a rule."""
+    return all(m in rules for m in border(B) if mono_size(m) <= lam)
+
+
+def rule_residual(roots, bb):
+    """max over roots and rules of |lead(root) - tail(root)|."""
+    best = 0.0
+    for root in roots:
+        for rule in bb.rules.values():
+            best = max(best, abs(evaluate_complex(rule.poly(), root)))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from borderbasis import (
     parse_choice,
     parse_field,
 )
-from borderbasis.border import _rule_c_polynomial, check_reducing_family, reduce_by_rules
 from borderbasis.cli import main
 from borderbasis.poly import mono_key
 from borderbasis.syzygy import generate_syzygies, reduce_syzygy, verify_syzygy
@@ -23,10 +22,13 @@ from borderbasis.systems import gen_intro_family
 
 from conftest import (
     OracleProjector,
+    _rule_c_polynomial,
+    check_reducing_family,
     oracle_syzygy_basis,
     poly_of,
     random_poly,
     random_regular_system,
+    reduce_by_rules,
     seeded,
 )
 from test_border import REFERENCE_B, reference_rules

@@ -10,23 +10,21 @@ from borderbasis import (
     normal_form,
     parse_choice,
 )
-from borderbasis.border import (
-    NotReducibleError,
-    RewritingRule,
-    _rule_c_polynomial,
-    _Echelon,
-    check_reducing_family,
-    reduce_by_rules,
-)
-from borderbasis.poly import border, mono_key, stable_by_division
+from borderbasis.border import RewritingRule, _Echelon
+from borderbasis.poly import border, mono_key
 
 from conftest import (
+    NotReducibleError,
+    _rule_c_polynomial,
+    check_reducing_family,
     compute,
     exhaustive_rewrite,
     poly_of,
     random_poly,
     random_regular_system,
+    reduce_by_rules,
     seeded,
+    stable_by_division,
 )
 
 REFERENCE_B = {(0, 0), (1, 0), (0, 1), (1, 1)}

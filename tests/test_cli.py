@@ -9,7 +9,18 @@ from pathlib import Path
 import pytest
 
 import borderbasis
-from borderbasis import gen_katsura
+from borderbasis import (
+    border,
+    choice,
+    cli,
+    fields,
+    gen_katsura,
+    poly,
+    quotient,
+    solve,
+    syzygy,
+    systems,
+)
 from borderbasis.cli import main
 from borderbasis.systems import gen_intro_family
 
@@ -175,17 +186,28 @@ def test_cli_solve_prime_field_is_numeric_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, message",
     [
-        pytest.param(["--field", "f64:nan"], id="f64:nan"),
-        pytest.param(["--field", "f64:inf"], id="f64:inf"),
-        pytest.param(["--eps", "nan"], id="eps:nan"),
-        pytest.param(["--eps", "inf"], id="eps:inf"),
-        pytest.param(["--eps", "-1"], id="eps:-1"),
+        pytest.param(["--field", "f64:nan"], "eps must be finite", id="f64:nan"),
+        pytest.param(["--field", "f64:inf"], "eps must be finite", id="f64:inf"),
+        pytest.param(["--eps", "nan"], "eps must be finite", id="eps:nan"),
+        pytest.param(["--eps", "inf"], "eps must be finite", id="eps:inf"),
+        pytest.param(["--eps", "-1"], "eps must be finite", id="eps:-1"),
+        # the modulus is named, not int()'s "invalid literal for int()"
+        pytest.param(["--field", "fp:abc"], "invalid modulus 'abc'", id="fp:abc"),
+        pytest.param(["--field", "fp:100"], "modulus 100 is not prime", id="fp:100"),
+        pytest.param(["--field", "f64:abc"], "invalid eps 'abc'", id="f64:abc"),
+        pytest.param(["--field", "zz"], "unknown field 'zz'", id="zz"),
+        pytest.param(["--choice", "foo"], "unknown choice function 'foo'", id="choice:foo"),
+        pytest.param(["--choice", "mix:abc"], "invalid seed 'abc'", id="choice:mix:abc"),
+        pytest.param(["-n", "0"], "katsura requires n >= 1", id="katsura:0"),
     ],
 )
-def test_cli_rejects_non_finite_eps(capsys, flags):
+def test_cli_rejects_non_finite_eps(capsys, flags, message):
     assert main(["katsura", "-n", "3", *flags, "--json", "basis"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_cli_eps_filter_failure_is_not_a_parse_error(capsys, tmp_path):
@@ -223,6 +245,28 @@ def test_cli_rejects_flags_the_subcommand_ignores(capsys, sysfile, argv):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--syzygies", "matrices"],
+        ["--syzygies", "syzygies"],
+        ["--syzygies", "solve"],
+        ["--json", "print"],
+        ["--dump-matrices", "m.json", "print"],
+        ["--syzygies", "print"],
+        ["--syzygies"],
+    ],
+    ids=["syzygies-matrices", "syzygies-syzygies", "syzygies-solve", "json-print", "dump-print", "syzygies-print", "syzygies-default"],
+)
+def test_cli_katsura_rejects_flags_the_action_ignores(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["katsura", "-n", "2", *argv])
+    assert exc.value.code == 1
+    assert "does not take" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_cli_katsura_takes_every_flag(capsys, tmp_path):
     dump = tmp_path / "m.json"
     argv = ["katsura", "-n", "2", "--field", "fp:101", "--seed", "1", "--syzygies"]
@@ -254,12 +298,15 @@ def test_cli_katsura_equals_its_text_on_stdin(capsys, monkeypatch, field):
             assert run(capsys, [action, *mode, "-"]) == generated
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "dump"])
+@pytest.mark.parametrize("case", ["missing", "directory", "dump", "binary"])
 def test_cli_file_error_exits_1(capsys, sysfile, tmp_path, case):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"ring x over qq\n\xff\n")
     argv = {
         "missing": ["basis", str(tmp_path / "nosuch.txt")],
         "directory": ["basis", str(tmp_path)],
         "dump": ["matrices", "--dump-matrices", str(tmp_path / "no" / "m.json"), sysfile],
+        "binary": ["basis", str(binary)],
     }[case]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -437,3 +484,43 @@ def test_cli_failed_eigen_solve_is_numeric(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", fail)
     assert main(["katsura", "-n", "2", "solve"]) == 3
     assert "Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_cli_internal_fault_is_not_an_input_error(monkeypatch, sysfile):
+    # a ValueError from inside the library is a fault, not exit 1 "error: ..."
+    def fault(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("borderbasis.cli.compute_border_basis", fault)
+    with pytest.raises(ValueError, match="boom"):
+        main(["basis", sysfile])
+
+
+EXIT_CODE_OF = {
+    fields.InputError: 1,
+    fields.FieldError: 1,
+    fields.FieldDivisionError: 1,
+    poly.ParseError: 1,
+    choice.NoChoosableMonomial: 1,
+    border.NotZeroDimensionalError: 2,
+    border.InconsistentSystemError: 2,
+    border.DegenerateInputError: 2,
+    fields.NumericError: 3,
+    quotient.NotABorderBasisError: 3,
+    solve.SolveError: 3,
+    syzygy.SyzygyError: 3,
+}
+
+
+def test_every_library_error_has_one_exit_code_base():
+    modules = [border, choice, cli, fields, poly, quotient, solve, syzygy, systems]
+    defined = {
+        cls
+        for mod in modules
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__ == mod.__name__
+    }
+    assert defined == set(EXIT_CODE_OF)
+    bases = {1: fields.InputError, 2: border.NotZeroDimensionalError, 3: fields.NumericError}
+    for cls, code in EXIT_CODE_OF.items():
+        assert [c for c, base in bases.items() if issubclass(cls, base)] == [code], cls

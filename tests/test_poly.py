@@ -21,15 +21,13 @@ from borderbasis.poly import (
     mono_div,
     mono_divides,
     mono_key,
-    mono_lcm,
     mono_mul,
     mono_size,
     monomials_of_degree_at_most,
     prolong,
-    stable_by_division,
 )
 
-from conftest import poly_of, seeded
+from conftest import mono_lcm, poly_of, seeded, stable_by_division
 
 
 def test_mono_ops():

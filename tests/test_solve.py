@@ -10,10 +10,10 @@ from borderbasis import (
     parse_choice,
     parse_field,
 )
-from borderbasis.solve import mnacr, rule_residual
+from borderbasis.solve import mnacr
 from borderbasis.systems import gen_intro_family
 
-from conftest import system_of
+from conftest import rule_residual, system_of
 
 
 def roots_sorted(rs):
