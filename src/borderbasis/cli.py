@@ -5,7 +5,8 @@ are plain text by default and machine-readable with --json.  Exit codes,
 one exception base each: 1 a usage error, an unreadable file (OSError) or an
 InputError (parse, field, choice or Katsura index); 2 NotZeroDimensionalError
 (guard exceeded, inconsistent or degenerate input); 3 NumericError (a failed
-eigen solve, a float overflow, or a syzygy that fails its expansion check).
+eigen solve, a float overflow, or a basis whose matrices do not commute, so
+it has no syzygy generators).
 Any other exception is a fault of the program and ends in a traceback.
 """
 

@@ -92,7 +92,10 @@ class RationalField(Field):
         return a == 0
 
     def magnitude(self, a):
-        return abs(float(a))
+        try:
+            return abs(float(a))
+        except OverflowError:  # beyond the float range: larger than any eps
+            return math.inf
 
     def coeff_size(self, a):
         return a.numerator.bit_length() + a.denominator.bit_length()

@@ -4,13 +4,15 @@ The generators are the commutation relations, lifted.  For each neighbour
 column (k, i, j) of `poly.neighbours`, with b = B[k], u1 = x_i*b and
 u2 = x_j*b, let c_i and c_j be the polynomials of column k of M_i and M_j
 (x_i*b = c_i + f_u1 and x_j*b = c_j + f_u2, a term f_u absent when u lies in
-B).  Then
+B).  The one lift gives _lift(x_i, u2) = x_i*e_u2 + mu^i(c_j), so the
+generator _lift(x_i, u2) - _lift(x_j, u1) is
 
     x_i*e_u2 - x_j*e_u1 - mu^j(c_i) + mu^i(c_j)
 
-has Sum h_w f_w = pi(x_j c_i) - pi(x_i c_j), minus the column k of
-M_i M_j - M_j M_i, so it is a syzygy exactly when that column vanishes.  It
-is negated when u2 lies in B, so the term x_j*e_u1 leads.  Whether u1, u2 and
+and has Sum h_w f_w = pi(x_j c_i) - pi(x_i c_j), minus the column k of
+M_i M_j - M_j M_i, so it is a syzygy exactly when that column vanishes:
+`check_commutation` certifies all generators at once.  A generator is
+negated when u2 lies in B, so the term x_j*e_u1 leads.  Whether u1, u2 and
 x_i*x_j*b lie in B only labels the relation: next-door, non-stair or
 across-the-street.  These generate the whole syzygy module; reduce_syzygy
 implements the descent that rewrites any syzygy to zero modulo them.
@@ -38,6 +40,7 @@ from .poly import (
     mono_var,
     neighbours,
 )
+from .quotient import check_commutation
 
 KIND_NEXT_DOOR = "next_door"
 KIND_NON_STAIR = "non_stair"
@@ -117,11 +120,15 @@ def generate_syzygies(bb: BorderBasis):
     """The lifted commutator columns, one per `neighbours` column (see the
     module docstring), labelled next-door / non-stair / across-the-street.
 
-    Every emitted relation is re-verified symbolically (fail-fast).
+    Each is _lift(x_i, x_j*b) - _lift(x_j, x_i*b).  They are syzygies exactly
+    when the matrices commute, so `check_commutation` certifies them all at
+    once; a failure raises SyzygyError naming (i, j, column).
     """
+    ok, where = check_commutation(bb.ms)
+    if not ok:
+        raise SyzygyError(f"multiplication matrices do not commute at (i, j, column) = {where}")
     f = bb.field
     n = bb.nvars
-    ms = bb.ms
     minus_one = f.normalize(-f.one)
     out = []
     for k, i, j in neighbours(bb.basis, bb.basis_set):
@@ -129,16 +136,7 @@ def generate_syzygies(bb: BorderBasis):
         u1 = mono_mul(b, mono_var(n, i))
         u2 = mono_mul(b, mono_var(n, j))
         in1, in2 = u1 in bb.basis_set, u2 in bb.basis_set
-        # not _lift(x_i, u2) - _lift(x_j, u1): the same relation in another key
-        # order, which can flip the f64 verify_syzygy verdict on the unscaled sum
-        vec = {}
-        if not in2:
-            vec[mono_var(n, i), u2] = f.one
-        if not in1:
-            vec[mono_var(n, j), u1] = minus_one
-        lifted = mu([f.normalize(-c) for c in ms.matrices[i][k]], j, bb)
-        axpy(f, lifted, f.one, mu(ms.matrices[j][k], i, bb))
-        axpy(f, vec, f.one, lifted)
+        vec = axpy(f, _lift(mono_var(n, i), u2, bb), minus_one, _lift(mono_var(n, j), u1, bb))
         if in2:
             vec = axpy(f, {}, minus_one, vec)
         if not (in1 or in2):
@@ -147,15 +145,8 @@ def generate_syzygies(bb: BorderBasis):
             kind = KIND_NON_STAIR
         else:
             kind = KIND_NEXT_DOOR
-        rel = SyzygyRelation(_nested(vec, bb), kind, (b, i, j))
-        if not verify_syzygy(rel, bb):
-            raise SyzygyError(f"generated relation fails to expand to zero: {rel!r}")
-        out.append(rel)
+        out.append(SyzygyRelation(_nested(vec, bb), kind, (b, i, j)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# reduction of arbitrary syzygies modulo the commutation generators
 
 
 def _lift(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
@@ -178,6 +169,10 @@ def _lift(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
         xi = mono_var(n, i)
         T = axpy(f, {(mono_mul(u, xi), w): c for (u, w), c in T.items()}, f.one, mu(v, i, bb))
     return T
+
+
+# ---------------------------------------------------------------------------
+# reduction of arbitrary syzygies modulo the commutation generators
 
 
 def _exchange_partner(u: Monomial, delta: int, bb: BorderBasis):

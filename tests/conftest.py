@@ -18,6 +18,7 @@ from borderbasis import (
     parse_field,
     parse_polynomial,
 )
+from borderbasis.border import BorderBasis, RewritingRule
 from borderbasis.poly import (
     axpy,
     border,
@@ -400,6 +401,15 @@ def exhaustive_rewrite(p, bb, max_passes=200):
 
 def compute(srcs, field, nvars=2, choice="mac"):
     return compute_border_basis(system_of(srcs, field, nvars), parse_choice(choice))
+
+
+def non_commuting_basis(field):
+    """The basis of x0^2 - 1, x1^2 - x1 with one wrong rule tail, x0^2 -> 2:
+    every border monomial has a rule, but M_0 and M_1 do not commute."""
+    bb = compute(["x0^2 - 1", "x1^2 - x1"], field)
+    rules = dict(bb.rules)
+    rules[(2, 0)] = RewritingRule((2, 0), poly_of("2", field))
+    return BorderBasis(bb.basis, rules, bb.loops, field, 2)
 
 
 def seeded(seed):

@@ -139,6 +139,10 @@ def test_inconsistent_system(qq, mac):
     with pytest.raises(InconsistentSystemError) as err:
         compute(["x0", "x0 - 1"], qq)
     assert not err.value.witness.is_zero()
+    # a nonzero constant generator is its own witness
+    with pytest.raises(InconsistentSystemError) as err:
+        compute(["x0^2 - 1", "3"], qq)
+    assert err.value.witness == poly_of("3", qq)
 
 
 def test_not_zero_dimensional(qq, mac):

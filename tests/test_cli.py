@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,8 @@ from borderbasis import (
 )
 from borderbasis.cli import main
 from borderbasis.systems import gen_intro_family
+
+from conftest import non_commuting_basis
 
 SYS = "ring x0 x1 over qq\nx0^2 - 1\nx1^2 - x1\n"
 
@@ -417,23 +420,61 @@ def test_cli_float_pivoting_is_pinned(capsys, tmp_path, source, choice, size, ba
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == basis_sha256
 
 
-# certified over f64, but its across-the-street relation at (x2^5, x0, x1)
-# fails the absolute-eps expansion check
-SYZYGY_FAILURE = """ring x0 x1 x2 over f64:1e-10
+# certified over f64; an absolute-eps test of the unscaled expansions would
+# reject some of its relations, though each vanishes to within rounding of
+# its largest product
+F64_CERTIFIED = """ring x0 x1 x2 over f64:1e-10
 -1.0*x1*x2^2 + 7.0*x1^2*x2 - 3.0*x1^3 + 8.0*x0^2*x1 - 1.0*x2^2 - 8.0*x1*x2 - 6.0*x1^2 + 5.0*x0*x2 + 4.0*x0^2 + 8.0*x2 - 8.0
 -2.0*x1*x2 + 7.0*x0*x1 + 8.0*x0^2 - 2.0*x2 + 3.0*x1
 -7.0*x2^3 - 8.0*x1*x2^2 - 3.0*x1^2*x2 + 3.0*x1^3 + 8.0*x0*x1*x2 + 9.0*x0^2*x2 - 5.0*x1^2 - 5.0*x0*x1 - 4.0*x0^2 - 9.0*x2 - 4.0*x1 + 9.0*x0
 """
 
 
+@pytest.mark.parametrize("spec", ["drvl", "mac"])
+def test_cli_f64_syzygies_of_a_certified_basis(capsys, tmp_path, spec):
+    path = tmp_path / "sys.txt"
+    path.write_text(F64_CERTIFIED)
+    flags = ["--choice", spec, "--json", str(path)]
+    reports = []
+    for argv in (["syzygies", *flags], ["basis", "--syzygies", *flags]):
+        code, out = run(capsys, argv)
+        assert code == 0
+        reports.append(json.loads(out)["syzygies"])
+    assert reports[0] == reports[1]
+    # each relation, summed exactly, vanishes up to rounding of its products
+    _, _, polys = poly.parse_system(F64_CERTIFIED)
+    bb = border.compute_border_basis(polys, choice.parse_choice(spec))
+    rels = syzygy.generate_syzygies(bb)
+    assert len(rels) == len(reports[0])
+    for rel in rels:
+        sums, largest = {}, 0.0
+        for w, h in rel.coeffs.items():
+            for a, c in h.terms.items():
+                for b, d in bb.rules[w].poly().terms.items():
+                    m = poly.mono_mul(a, b)
+                    sums[m] = sums.get(m, 0) + Fraction(c) * Fraction(d)
+                    largest = max(largest, abs(c * d))
+        assert max(abs(v) for v in sums.values()) <= 1e-12 * largest, rel
+
+
 @pytest.mark.parametrize(
     "argv", [["syzygies", "--choice", "drvl", "--json"], ["basis", "--syzygies", "--choice", "drvl", "--json"]]
 )
-def test_cli_syzygy_error_is_numeric(capsys, tmp_path, argv):
-    path = tmp_path / "sys.txt"
-    path.write_text(SYZYGY_FAILURE)
-    assert main(argv + [str(path)]) == 3
+def test_cli_syzygy_error_is_numeric(capsys, monkeypatch, sysfile, qq, argv):
+    # a basis whose matrices do not commute has no generators to report
+    broken = non_commuting_basis(qq)
+    monkeypatch.setattr("borderbasis.cli.compute_border_basis", lambda *args: broken)
+    assert main(argv + [sysfile]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_eps_filter_keeps_huge_rational(capsys, tmp_path):
+    # 10^400 is beyond the float range, so its magnitude passes any eps
+    path = tmp_path / "sys.txt"
+    path.write_text("ring x y over qq\nx - 1e400\ny^2 - 1\n")
+    code, out = run(capsys, ["basis", "--eps", "1", "--json", str(path)])
+    assert code == 0
+    assert json.loads(out)["basis"] == ["1", "y"]
 
 
 def test_cli_float_overflow_at_parse_is_a_parse_error(capsys, tmp_path):

@@ -1,5 +1,6 @@
 from borderbasis import (
     Polynomial,
+    check_commutation,
     compute_border_basis,
     generate_syzygies,
     normal_form,
@@ -21,6 +22,7 @@ import pytest
 
 from conftest import (
     compute,
+    non_commuting_basis,
     oracle_syzygy_basis,
     poly_of,
     random_poly,
@@ -107,6 +109,14 @@ def test_verify_rejects_perturbed(qq, mac):
     bumped[w] = bumped[w].add(poly_of("1", qq))
     assert not verify_syzygy(bumped, bb)
     assert verify_syzygy({}, bb)
+
+
+def test_generators_are_certified_by_commutation(qq):
+    bb = non_commuting_basis(qq)
+    ok, (i, j, k) = check_commutation(bb.ms)
+    assert not ok
+    with pytest.raises(SyzygyError, match=rf"\(i, j, column\) = \({i}, {j}, {k}\)"):
+        generate_syzygies(bb)
 
 
 def test_reduce_generators_to_zero(qq, mac):
