@@ -11,8 +11,10 @@ column and every generator projects to zero.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .choice import ChoiceFunction, NoChoosableMonomial
-from .fields import FloatField
+from .fields import FloatField, int64_sums_fit
 from .poly import (
     Monomial,
     Polynomial,
@@ -87,13 +89,14 @@ def _gamma(cf: ChoiceFunction, p: Polynomial) -> Monomial:
         raise DegenerateInputError(str(exc)) from exc
 
 
-class _Echelon:
-    """Reduced echelon of monic rows with distinct pivots over the universe B+.
+class _Universe:
+    """The columns of one loop, B+, and the pivot rule; the two echelons below
+    store the rows.
 
     The columns ``cols`` are B+ sorted by `mono_key`, so a larger index is a
     larger monomial; ``col`` maps a monomial to its index, ``border`` flags
-    the border columns and ``shift[i][k]`` is the column of x_i*cols[k] (None
-    outside B+).  Rows are ``{column: coefficient}`` dicts updated by `axpy`.
+    the border columns, and ``pivot_of`` maps an element's pivot column to
+    its index in insertion order.  Rows are ``{column: coefficient}`` dicts.
     """
 
     def __init__(self, B, cf: ChoiceFunction, field, n: int):
@@ -102,11 +105,9 @@ class _Echelon:
         self.col = {m: k for k, m in enumerate(self.cols)}
         self.border = [m in borderset for m in self.cols]
         self.size = [mono_size(m) for m in self.cols]
-        self.shift = [[self.col.get(mono_mul(m, mono_var(n, i))) for m in self.cols] for i in range(n)]
         self.cf = cf
         self.field = field
         self.n = n
-        self.elements = []
         self.pivot_of = {}  # pivot column -> index
 
     def row(self, p: Polynomial):
@@ -119,13 +120,6 @@ class _Echelon:
     def poly(self, row: dict) -> Polynomial:
         return Polynomial(self.field, self.n, {self.cols[k]: c for k, c in row.items()})
 
-    def multiples(self, row: dict):
-        """The rows x_i*row that stay inside B+ (x_i has coefficient one)."""
-        for shift in self.shift:
-            keys = [shift[k] for k in row]
-            if None not in keys:
-                yield dict(zip(keys, row.values()))
-
     def _select_pivot(self, row: dict) -> int:
         """Pivot of a row: a degree-maximal border column when one exists (so
         the element can serve as a rewriting rule), the choice-function pick
@@ -137,6 +131,25 @@ class _Echelon:
             return top_border[0]
         pick = self.poly({k: row[k] for k in top_border or row})
         return self.col[_gamma(self.cf, pick)]
+
+
+class _Echelon(_Universe):
+    """Reduced echelon of monic rows with distinct pivots over B+, one dict
+    per row updated by `axpy`; ``shift[i][k]`` is the column of x_i*cols[k]
+    (None outside B+).  Serves every field the int64 kernel does not.
+    """
+
+    def __init__(self, B, cf: ChoiceFunction, field, n: int):
+        super().__init__(B, cf, field, n)
+        self.shift = [[self.col.get(mono_mul(m, mono_var(n, i))) for m in self.cols] for i in range(n)]
+        self.elements = []
+
+    def multiples(self, row: dict):
+        """The rows x_i*row that stay inside B+ (x_i has coefficient one)."""
+        for shift in self.shift:
+            keys = [shift[k] for k in row]
+            if None not in keys:
+                yield dict(zip(keys, row.values()))
 
     def reduce(self, row: dict) -> dict:
         """Eliminate the pivots from the row in place, the largest column first."""
@@ -178,6 +191,165 @@ class _Echelon:
             inserted.append(self.insert(pending.pop(mags.index(max(mags)))))
             pending = [r for r in map(self.reduce, pending) if r]
         return inserted
+
+    def saturate(self, pool):
+        """Insert the pool polynomials supported in B+, then the x_i-multiples
+        of the inserted rows until none is new; returns the elements."""
+        frontier = self.insert_batch([r for r in map(self.row, pool) if r is not None])
+        while frontier:
+            frontier = self.insert_batch([q for e in frontier for q in self.multiples(e)])
+        return self.elements
+
+
+# A loop runs the int64 kernel when (n+1)|B|, a bound on |B+|, reaches this:
+# below it numpy's per-call cost outweighs the work on rows of a few entries
+# (the crossover measured on the seeded random regular systems over fp:65537).
+_KERNEL_MIN_SIZE = 90
+
+# entries of one dense block of rows or x_i-multiples: bounds the memory of a
+# saturation step
+_BLOCK = 1 << 15
+
+
+class _ModpEchelon(_Universe):
+    """The echelon over Z/p as int64 residues: one dense row per element over
+    the columns of B+.  Used when the field's sums of |B+| products fit int64
+    (`int64_sums_fit`); its pivots, elements and returned rows are the dict
+    echelon's, entry for entry.
+
+    A batch is first reduced against the elements in one product,
+    R - R[:, pivots] @ E mod p, which is exact because the elements are fully
+    back-reduced, so the reduced row of a span is unique.  The surviving rows
+    then take their pivots in order, as the dict echelon inserts them; each
+    is made monic and cleared from the elements by one rank-1 update mod p.
+    Under drvl, dlex and mac the pivot is the argmax of a rank by degree,
+    then border before basis, then the choice key, which is what
+    `_select_pivot` picks; minsz and mix call it on the row as a dict, so mix
+    draws its coin as often and in the same order.  The x_i-multiples of a
+    frontier come from the shift table in one step per variable.
+    """
+
+    def __init__(self, B, cf: ChoiceFunction, field, n: int):
+        super().__init__(B, cf, field, n)
+        self.p = field.p
+        size = len(self.cols)
+        # x_i*cols[src] = cols[dst]; x_i times a row nonzero on a column in
+        # outside leaves B+
+        self._shifts = []
+        for i in range(n):
+            to = np.array([self.col.get(m[:i] + (m[i] + 1,) + m[i + 1 :], -1) for m in self.cols])
+            inside = to >= 0
+            self._shifts.append((np.flatnonzero(inside), to[inside], np.flatnonzero(~inside)))
+        key = cf.key
+        self._rank = None
+        if key is not None:
+            order = sorted(range(size), key=lambda k: (self.size[k], self.border[k], key(self.cols[k])))
+            self._rank = np.empty(size, np.int64)
+            self._rank[order] = np.arange(size)
+        self._E = np.zeros((size, size), np.int64)  # rows [0, len(pivot_of)) are the elements
+        self._P = np.zeros(size, np.intp)  # their pivot columns
+
+    @property
+    def elements(self):
+        return self._dicts(self._E[: len(self.pivot_of)])
+
+    def _dense(self, rows):
+        out = np.zeros((len(rows), len(self.cols)), np.int64)
+        at = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        out[at, [k for r in rows for k in r]] = [c for r in rows for c in r.values()]
+        return out
+
+    @staticmethod
+    def _dicts(rows):
+        """Dense rows as {column: coefficient} dicts of ints."""
+        r, c = np.nonzero(rows)
+        vals = rows[r, c].tolist()
+        cols = c.tolist()
+        bounds = np.searchsorted(r, np.arange(len(rows) + 1)).tolist()
+        return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+    def _multiples(self, rows):
+        """The rows x_i*rows[t] that stay inside B+, by t then i."""
+        out = np.zeros((len(rows), self.n, len(self.cols)), np.int64)
+        inside = np.empty((len(rows), self.n), bool)
+        for i, (src, dst, outside) in enumerate(self._shifts):
+            out[:, i, dst] = rows[:, src]
+            inside[:, i] = ~rows[:, outside].any(axis=1)
+        return out.reshape(-1, len(self.cols))[inside.ravel()]
+
+    def _reduce(self, rows):
+        """The rows reduced by the elements, in place, without the zero rows."""
+        e = len(self.pivot_of)
+        if e:
+            rows -= rows[:, self._P[:e]] @ self._E[:e]
+            rows %= self.p
+        nonzero = rows.any(axis=1)
+        return rows if nonzero.all() else rows[nonzero]
+
+    def _pivot(self, row, nonzero) -> int:
+        if self._rank is not None:
+            return int(nonzero[self._rank[nonzero].argmax()])
+        return self._select_pivot(dict(zip(nonzero.tolist(), row[nonzero].tolist())))
+
+    def _eliminate(self, rows):
+        """Insert rows reduced by the elements, in order and in place; returns
+        the inserted ones as inserted.
+
+        A row is first reduced by the elements this batch has added, then
+        made monic, and its pivot column is cleared from the elements by one
+        rank-1 update.
+        """
+        p = self.p
+        E, P = self._E, self._P
+        e0 = len(self.pivot_of)
+        inserted = []
+        for t, row in enumerate(rows):
+            e = len(self.pivot_of)
+            if e > e0:
+                row -= row[P[e0:e]] @ E[e0:e]
+                row %= p
+            nonzero = row.nonzero()[0]
+            if not len(nonzero):
+                continue
+            pivot = self._pivot(row, nonzero)
+            row *= pow(int(row[pivot]), -1, p)
+            row %= p
+            c = E[:e, pivot]
+            hit = c.nonzero()[0]
+            if len(hit):
+                update = E[hit]
+                update -= c[hit, None] * row
+                update %= p
+                E[hit] = update
+            E[e] = row
+            P[e] = pivot
+            self.pivot_of[pivot] = e
+            inserted.append(t)
+        return rows[inserted]
+
+    def _insert(self, blocks):
+        """Insert dense blocks of rows in order; returns the inserted rows as
+        inserted.  A block is reduced by every element inserted before it,
+        so inserting a batch block by block inserts the same rows."""
+        inserted = [self._eliminate(self._reduce(b)) for b in blocks]
+        return np.concatenate(inserted) if inserted else np.zeros((0, len(self.cols)), np.int64)
+
+    def insert_batch(self, rows):
+        """Insert a batch of dict rows in order; returns those inserted, as inserted."""
+        return self._dicts(self._insert([self._dense(rows)]))
+
+    def saturate(self, pool):
+        """`_Echelon.saturate`, in blocks of at most _BLOCK entries; frees the
+        dense rows once the elements are dicts."""
+        rows = [r for r in map(self.row, pool) if r is not None]
+        step = max(1, _BLOCK // len(self.cols))
+        frontier = self._insert(self._dense(rows[a : a + step]) for a in range(0, len(rows), step))
+        step = max(1, _BLOCK // (self.n * len(self.cols)))
+        while len(frontier):
+            frontier = self._insert(self._multiples(frontier[a : a + step]) for a in range(0, len(frontier), step))
+        elements = self.elements
+        self._E = self._P = None
+        return elements
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +429,12 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
     blacklist = set()
 
     for loops in range(1, loop_limit + 1):
-        ech = _Echelon(B, cf, field, n)
-        frontier = ech.insert_batch([r for r in map(ech.row, pool) if r is not None])
-        # saturate with single-variable multiples staying inside <B+>
-        while frontier:
-            frontier = ech.insert_batch([q for e in frontier for q in ech.multiples(e)])
-
-        elements = [ech.poly(e) for e in ech.elements]
+        # |B+| <= (n+1)|B| bounds the pivots an int64 sum adds up
+        size = (n + 1) * len(B)
+        kernel = _ModpEchelon if size >= _KERNEL_MIN_SIZE and int64_sums_fit(field, size) else _Echelon
+        ech = kernel(B, cf, field, n)
+        rows = ech.saturate(pool)
+        elements = [ech.poly(e) for e in rows]
         pool = list(dict.fromkeys(pool + elements))
 
         # shrink move: any element pivoting on a basis monomial is a
@@ -280,7 +451,7 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
         # no pivot, so it stays uncovered and the grow move takes it
         rules = {}
         for k, idx in ech.pivot_of.items():
-            if sum(ech.border[c] for c in ech.elements[idx]) == 1:
+            if sum(ech.border[c] for c in rows[idx]) == 1:
                 rules[ech.cols[k]] = RewritingRule.from_poly(elements[idx], ech.cols[k])
 
         uncovered = [m for k, m in enumerate(ech.cols) if ech.border[k] and m not in rules]

@@ -29,12 +29,13 @@ def deglex_key(m: Monomial):
     return (mono_size(m), m)
 
 
-def _mac_pick(monos):
-    d = max(mono_size(m) for m in monos)
-    top = [m for m in monos if mono_size(m) == d]
-    best = max(max(m) for m in top)
-    cands = [m for m in top if max(m) == best]
-    return max(cands)  # lexicographic tie-break
+def mac_key(m: Monomial):
+    # degree, then the largest exponent, then lexicographic
+    return (mono_size(m), max(m), m)
+
+
+# the sort keys of the choice functions whose pick reads only the support
+_KEYS = {"drvl": grevlex_key, "dlex": deglex_key, "mac": mac_key}
 
 
 class ChoiceFunction:
@@ -53,19 +54,21 @@ class ChoiceFunction:
     @property
     def support_only(self) -> bool:
         """True when the pick depends only on the support, never on coefficients."""
-        return self.kind in ("drvl", "dlex", "mac")
+        return self.kind in _KEYS
+
+    @property
+    def key(self):
+        """The sort key whose maximum `gamma` picks, or None when the pick
+        reads coefficients (minsz, mix, or an eps filter)."""
+        return _KEYS.get(self.kind) if self.eps == 0 else None
 
     def clone(self) -> "ChoiceFunction":
         """Fresh instance with the mix PRNG re-seeded (reproducible runs)."""
         return ChoiceFunction(self.kind, self.seed, self.eps)
 
     def _pick(self, p: Polynomial, monos) -> Monomial:
-        if self.kind == "drvl":
-            return max(monos, key=grevlex_key)
-        if self.kind == "dlex":
-            return max(monos, key=deglex_key)
-        if self.kind == "mac":
-            return _mac_pick(monos)
+        if self.kind in _KEYS:
+            return max(monos, key=_KEYS[self.kind])
         if self.kind == "minsz":
             return self._minsz(p, monos)
         # mix: per-call coin flip between minsz and drvl, seeded

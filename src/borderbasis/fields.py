@@ -163,6 +163,13 @@ class PrimeField(Field):
         return hash(("fp", self.p))
 
 
+def int64_sums_fit(field: Field, terms: int) -> bool:
+    """True when ``field`` is a prime field whose sums of ``terms`` products of
+    two residues fit int64: terms*(p-1)^2 < 2^63.  The echelon and the
+    commutation check run on int64 arrays mod p only then."""
+    return isinstance(field, PrimeField) and terms * (field.p - 1) ** 2 < 2**63
+
+
 DEFAULT_EPS = 1e-10
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .fields import FloatField, NumericError
+import numpy as np
+
+from .fields import FloatField, NumericError, int64_sums_fit
 from .poly import (
     Monomial,
     Polynomial,
@@ -121,11 +123,17 @@ def commutators(ms: MultiplicationSystem):
     """The nonzero columns of M_i M_j - M_j M_i, as (i, j, column index,
     column), over the `neighbours` columns in their order.
 
-    Exact fields compare exactly; the float field uses an entrywise tolerance
+    Exact fields compare exactly: a prime field whose sums of D products fit
+    int64 forms each difference once as an int64 matrix product mod p and
+    yields its columns as lists of ints, other fields apply the matrices
+    column by column.  The float field uses an entrywise tolerance
     max(eps, 1e-10 * |M_i| * |M_j|) so badly scaled systems do not fail
     spuriously.
     """
     f = ms.field
+    if int64_sums_fit(f, ms.dimension):
+        yield from _commutators_mod_p(ms)
+        return
     if isinstance(f, FloatField):
         norms = [max((f.magnitude(c) for col in m for c in col), default=0.0) for m in ms.matrices]
     for k, i, j in neighbours(ms.basis, ms.index):
@@ -139,6 +147,25 @@ def commutators(ms: MultiplicationSystem):
             nonzero = not all(f.is_zero(c) for c in diff)
         if nonzero:
             yield i, j, k, diff
+
+
+def _commutators_mod_p(ms: MultiplicationSystem):
+    """`commutators` over Z/p: M_i M_j - M_j M_i mod p once per pair."""
+    p = ms.field.p
+    n = ms.nvars
+    a = np.array(ms.matrices, dtype=np.int64)
+    # a[i] holds the columns of M_i as rows, so a[j] @ a[i] is (M_i M_j)^T
+    diffs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = (a[j] @ a[i] - a[i] @ a[j]) % p
+            if d.any():
+                diffs[i, j] = d
+    if diffs:
+        for k, i, j in neighbours(ms.basis, ms.index):
+            d = diffs.get((i, j))
+            if d is not None and d[k].any():
+                yield i, j, k, d[k].tolist()
 
 
 def check_commutation(ms: MultiplicationSystem):

@@ -7,6 +7,7 @@ each root is read off from eigenvector coordinate ratios.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -38,10 +39,13 @@ class RootSet:
         return iter(self.roots)
 
     def to_json_dict(self):
+        """The report of `solve`; a condition that is not finite is written as null."""
+        finite = self.condition is not None and math.isfinite(self.condition)
         return {
             "roots": [[[z.real, z.imag] for z in root] for root in self.roots],
             "mnacr": self.mnacr,
             "seed": self.seed,
+            "condition": self.condition if finite else None,
         }
 
 

@@ -27,6 +27,7 @@ from borderbasis.poly import (
     mono_key,
     mono_size,
     monomials_of_degree_at_most,
+    neighbours,
 )
 from borderbasis.solve import evaluate_complex
 
@@ -410,6 +411,20 @@ def non_commuting_basis(field):
     rules = dict(bb.rules)
     rules[(2, 0)] = RewritingRule((2, 0), poly_of("2", field))
     return BorderBasis(bb.basis, rules, bb.loops, field, 2)
+
+
+def reference_commutators(ms):
+    """`commutators` over an exact field, column by column through
+    `MultiplicationSystem.apply`: the reference for the int64 products."""
+    f = ms.field
+    out = []
+    for k, i, j in neighbours(ms.basis, ms.index):
+        a = ms.apply(i, ms.matrices[j][k])
+        b = ms.apply(j, ms.matrices[i][k])
+        diff = [f.normalize(x - y) for x, y in zip(a, b)]
+        if not all(f.is_zero(c) for c in diff):
+            out.append((i, j, k, diff))
+    return out
 
 
 def seeded(seed):

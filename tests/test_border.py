@@ -7,11 +7,15 @@ from borderbasis import (
     check_commutation,
     compute_border_basis,
     build_mult_system,
+    gen_katsura,
     normal_form,
     parse_choice,
+    parse_field,
 )
-from borderbasis.border import RewritingRule, _Echelon
-from borderbasis.poly import border, mono_key
+from borderbasis import border as border_module
+from borderbasis.border import RewritingRule, _Echelon, _ModpEchelon
+from borderbasis.fields import int64_sums_fit
+from borderbasis.poly import border, mono_key, monomials_of_degree_at_most
 
 from conftest import (
     NotReducibleError,
@@ -315,3 +319,76 @@ def test_non_order_ideal_bases_are_certified(fp):
                         assert reduce_by_rules(c, bb.rules, bb.basis_set).is_zero()
             non_order_ideal += not stable_by_division(bb.basis_set)
     assert non_order_ideal > 0
+
+
+CHOICES = ["drvl", "dlex", "mac", "minsz", "mix:1"]
+
+
+def _random_batch(rng, field, ncols, size):
+    """Seeded rows over ncols columns; every third one a combination of two
+    earlier ones, so some rows reduce to zero."""
+    rows = []
+    for t in range(size):
+        if t >= 2 and t % 3 == 0:
+            a, b = rng.sample(rows, 2)
+            row = {}
+            for r in (a, b):
+                c = field.from_int(rng.randint(1, field.p - 1))
+                for k, v in r.items():
+                    row[k] = field.normalize(row.get(k, 0) + c * v)
+            row = {k: v for k, v in row.items() if v}
+        else:
+            keys = rng.sample(range(ncols), rng.randint(1, ncols))
+            row = {k: field.from_int(rng.randint(1, field.p - 1)) for k in keys}
+        if row:
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("spec", ["fp:65537", "fp:1000003"])
+@pytest.mark.parametrize("choice", CHOICES)
+def test_int64_echelon_matches_the_dict_echelon(spec, choice):
+    # the same seeded batches, then their x_i-multiples, into both echelons:
+    # the same rows back in order, the same pivots, the same elements and,
+    # under mix, the same coin draws
+    field = parse_field(spec)
+    rng = seeded(13)
+    for _ in range(6):
+        n = rng.randint(2, 3)
+        B = set(monomials_of_degree_at_most(n, rng.randint(1, 3)))
+        cfs = parse_choice(choice), parse_choice(choice)
+        ref, kern = _Echelon(B, cfs[0], field, n), _ModpEchelon(B, cfs[1], field, n)
+        assert int64_sums_fit(field, len(kern.cols))
+        for _ in range(3):
+            batch = _random_batch(rng, field, len(ref.cols), rng.randint(1, 12))
+            returned = kern.insert_batch(batch)
+            assert returned == ref.insert_batch([dict(r) for r in batch])
+            multiples = [q for e in returned for q in ref.multiples(e)]
+            assert kern._dicts(kern._multiples(kern._dense(returned))) == multiples
+            assert kern.insert_batch(multiples) == ref.insert_batch(multiples)
+        assert list(kern.pivot_of.items()) == list(ref.pivot_of.items())
+        assert kern.elements == ref.elements
+        assert cfs[0]._rng is None or cfs[0]._rng.getstate() == cfs[1]._rng.getstate()
+
+
+@pytest.mark.parametrize("choice", CHOICES)
+def test_int64_kernel_gives_the_dict_bases(monkeypatch, choice):
+    # every loop on the int64 kernel, then none: identical bases and loops
+    field = parse_field("fp:65537")
+    rng = seeded(17)
+    systems = [random_regular_system(rng, field, rng.randint(2, 3), 3)[0] for _ in range(12)]
+    runs = []
+    for size in (0, 10**9):
+        monkeypatch.setattr(border_module, "_KERNEL_MIN_SIZE", size)
+        runs.append([compute_border_basis(F, parse_choice(choice)) for F in systems])
+    for a, b in zip(*runs):
+        assert a.to_json_dict() == b.to_json_dict() and a.loops == b.loops
+
+
+def test_katsura3_beyond_the_int64_range():
+    # 2^31 - 1 fits only sums of two products, so every loop takes the dict rows
+    field = parse_field("fp:2147483647")
+    assert not int64_sums_fit(field, 3)
+    bb = compute_border_basis(gen_katsura(field, 3), parse_choice("mac"))
+    assert bb.dimension == 8
+    assert check_commutation(bb.ms) == (True, None)

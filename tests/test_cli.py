@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,6 +109,14 @@ def test_cli_solve(capsys, sysfile):
     report = json.loads(out)
     assert len(report["roots"]) == 4
     assert report["mnacr"] < 1e-9
+
+
+def test_cli_solve_reports_the_eigen_condition(capsys):
+    code, out = run(capsys, ["katsura", "-n", "3", "--field", "qq", "--json", "solve"])
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["roots"]) == 8
+    assert math.isfinite(report["condition"]) and report["condition"] >= 1
 
 
 def test_cli_syzygies(capsys, sysfile):

@@ -11,6 +11,7 @@ from borderbasis.fields import (
     FloatField,
     PrimeField,
     RationalField,
+    int64_sums_fit,
     is_prime,
 )
 
@@ -112,3 +113,13 @@ def test_prime_div_roundtrip(a, b):
 def test_prime_product_nonzero(a, b):
     f = PrimeField(65537)
     assert not f.is_zero(f.normalize(a * b))
+
+
+def test_int64_range_of_the_prime_fields():
+    # k*(p-1)^2 < 2^63: the benchmark prime takes the int64 kernel at any
+    # realistic size, 2^31 - 1 only for sums of at most two products
+    assert int64_sums_fit(PrimeField(1000003), 10**4)
+    assert int64_sums_fit(PrimeField(2147483647), 2)
+    assert not int64_sums_fit(PrimeField(2147483647), 3)
+    assert not int64_sums_fit(RationalField(), 1)
+    assert not int64_sums_fit(FloatField(), 1)

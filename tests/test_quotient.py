@@ -5,17 +5,23 @@ from borderbasis import (
     build_mult_system,
     check_commutation,
     compute_border_basis,
+    gen_katsura,
     normal_form,
+    parse_choice,
 )
-from borderbasis.border import BorderBasis
+from borderbasis.border import BorderBasis, RewritingRule
+from borderbasis.fields import int64_sums_fit
+from borderbasis.poly import mono_key
 from borderbasis.quotient import commutators
 
 from conftest import (
     compute,
+    non_commuting_basis,
     oracle_normal_form,
     poly_of,
     random_poly,
     random_regular_system,
+    reference_commutators,
     seeded,
 )
 
@@ -71,6 +77,25 @@ def test_printed_family_fails_commutation(qq, mac):
     expected = poly_of("x0*x1 - x1", qq)
     columns = [ms.poly_of(col) for _, _, _, col in commutators(ms)]
     assert any(c.scale(qq.inv(c.terms[(1, 1)])) == expected for c in columns)
+
+
+def _katsura3_with_a_wrong_tail(field):
+    bb = compute_border_basis(gen_katsura(field, 3), parse_choice("mac"))
+    rules = dict(bb.rules)
+    lead = min(rules, key=mono_key)
+    rules[lead] = RewritingRule(lead, rules[lead].tail.add(poly_of("1", field, bb.nvars)))
+    return BorderBasis(bb.basis, rules, bb.loops, field, bb.nvars)
+
+
+@pytest.mark.parametrize("build", [non_commuting_basis, _katsura3_with_a_wrong_tail])
+def test_int64_commutators_match_the_reference(fp, build):
+    # one wrong rule tail: the int64 products mod p must yield the columns
+    # the column-by-column path yields, in its order, as Python ints
+    bb = build(fp)
+    assert int64_sums_fit(fp, bb.dimension)
+    found = list(commutators(bb.ms))
+    assert found and found == reference_commutators(bb.ms)
+    assert all(type(c) is int for *_, col in found for c in col)
 
 
 def test_normal_form_basics(qq, mac):

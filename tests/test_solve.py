@@ -3,6 +3,7 @@ import math
 import pytest
 
 from borderbasis import (
+    RootSet,
     SolveError,
     build_mult_system,
     compute_border_basis,
@@ -95,3 +96,8 @@ def test_mnacr_direct(qq):
     assert mnacr([((1 + 0j), 0j)], polys) < 1e-15
     perturbed = mnacr([((1 + 1e-6 + 0j), 0j)], polys)
     assert math.isclose(perturbed, 2e-6, rel_tol=1e-2)
+
+
+@pytest.mark.parametrize("condition", [math.inf, math.nan, None])
+def test_report_writes_a_condition_that_is_not_finite_as_null(condition):
+    assert RootSet([], 0.0, 0, condition).to_json_dict()["condition"] is None
