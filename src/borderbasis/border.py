@@ -67,11 +67,19 @@ class RewritingRule:
 
     @classmethod
     def from_poly(cls, p: Polynomial, lead: Monomial) -> "RewritingRule":
+        """The rule lead -> lead - p/c for c = p's coefficient at lead, built
+        in one pass: with s = -1/c (-1 when p is monic) the tail holds s*a for
+        each other coefficient a of p and, first, the lead's 1 + s*c, which
+        only float rounding leaves nonzero.  A coefficient that `axpy`'s zero
+        test calls zero is dropped."""
         f = p.field
         c = p.terms[lead]
-        monic = p.scale(f.inv(c))
-        tail = Polynomial.monomial(f, p.nvars, lead).sub(monic)
-        return cls(lead, tail)
+        s = f.normalize(-f.inv(c))
+        tail = {lead: f.normalize(f.one + s * c)}
+        for m, a in p.terms.items():
+            if m != lead:
+                tail[m] = f.normalize(s * a)
+        return cls(lead, Polynomial(f, p.nvars, tail))
 
     def __repr__(self):
         return f"RewritingRule({format_monomial(self.lead)} -> {self.tail!r})"

@@ -37,6 +37,12 @@ class MultiplicationSystem:
     Matrices are dense, stored column-major: ``matrices[i][j]`` is the
     coordinate vector of the reduction of x_i * B[j].  ``apply`` walks their
     nonzero entries and normalizes each coordinate once (``Field.normalize``).
+
+    Over a prime field whose sums of D products fit int64
+    (`int64_sums_fit`), ``residues`` holds the same matrices once more as one
+    int64 array mod p of shape (n, D, D), with ``residues[i][j]`` the column j
+    of M_i; `commutators` and `normal_form` multiply it.  On any other field
+    it is None.
     """
 
     def __init__(self, basis, matrices, field, nvars):
@@ -48,6 +54,9 @@ class MultiplicationSystem:
         self._entries = [
             [[(k, c) for k, c in enumerate(col) if c != field.zero] for col in m] for m in matrices
         ]
+        self.residues = None
+        if int64_sums_fit(field, len(self.basis)):
+            self.residues = np.array(matrices, dtype=np.int64) % field.p
 
     @property
     def dimension(self) -> int:
@@ -123,15 +132,15 @@ def commutators(ms: MultiplicationSystem):
     """The nonzero columns of M_i M_j - M_j M_i, as (i, j, column index,
     column), over the `neighbours` columns in their order.
 
-    Exact fields compare exactly: a prime field whose sums of D products fit
-    int64 forms each difference once as an int64 matrix product mod p and
-    yields its columns as lists of ints, other fields apply the matrices
-    column by column.  The float field uses an entrywise tolerance
-    max(eps, 1e-10 * |M_i| * |M_j|) so badly scaled systems do not fail
-    spuriously.
+    Exact fields compare exactly: over a prime field whose sums of D
+    products fit int64 each difference is formed once as an int64 matrix
+    product mod p on ``ms.residues`` and its columns are yielded as lists of
+    ints, other fields apply the matrices column by column.  The float field
+    uses an entrywise tolerance max(eps, 1e-10 * |M_i| * |M_j|) so badly
+    scaled systems do not fail spuriously.
     """
     f = ms.field
-    if int64_sums_fit(f, ms.dimension):
+    if ms.residues is not None:
         yield from _commutators_mod_p(ms)
         return
     if isinstance(f, FloatField):
@@ -153,7 +162,7 @@ def _commutators_mod_p(ms: MultiplicationSystem):
     """`commutators` over Z/p: M_i M_j - M_j M_i mod p once per pair."""
     p = ms.field.p
     n = ms.nvars
-    a = np.array(ms.matrices, dtype=np.int64)
+    a = ms.residues
     # a[i] holds the columns of M_i as rows, so a[j] @ a[i] is (M_i M_j)^T
     diffs = {}
     for i in range(n):
@@ -182,8 +191,17 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
     its leftmost variable x_i peeled off; commutation must have been verified
     so the variable order is irrelevant.  The coordinates are memoized for
     this call only, so a query costs the same whatever was asked before.
+
+    When ``ms.residues`` is set and the sums of the terms of p outside B fit
+    int64 too, the coordinates are computed level by level on that array
+    (`_normal_form_mod_p`); otherwise one monomial at a time with
+    `MultiplicationSystem.apply`.  Both give the same residues.
     """
     f = ms.field
+    if ms.residues is not None:
+        outside = [m for m in p.terms if m not in ms.index]
+        if int64_sums_fit(f, len(outside)):
+            return _normal_form_mod_p(p, outside, ms)
     memo: dict[Monomial, list] = {}
 
     def vec_of_monomial(m: Monomial):
@@ -204,3 +222,56 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
         c = p.terms[m]
         acc = [x + c * y for x, y in zip(acc, vec_of_monomial(m))]
     return ms.poly_of([f.normalize(x) for x in acc])
+
+
+def _normal_form_mod_p(p: Polynomial, outside: list, ms: MultiplicationSystem) -> Polynomial:
+    """`normal_form` over Z/p on ``ms.residues``, for the terms ``outside`` B.
+
+    Each monomial needed is x_i times its parent, the monomial with its
+    leftmost variable x_i peeled off, at depth one more than the parent's
+    (a monomial of B has depth 0).  Its coordinates are one row of C: at
+    depth 1 the column of M_i at the parent, deeper (C[parents] @ a[i]) mod p
+    for all monomials of that depth and variable at once.  A parent shared by
+    several monomials gets one row.  The answer is the coefficients mod p
+    times the rows of p's terms, plus p's terms in B.
+    """
+    f, a, index = ms.field, ms.residues, ms.index
+    row: dict[Monomial, int] = {}
+    depth_of: list[int] = []  # by row
+    groups: dict[tuple, tuple] = {}  # (depth, i) -> (rows, their parents' columns or rows)
+
+    def visit(m: Monomial) -> int:
+        """The row of m, given to m and its ancestors outside B on first sight."""
+        r = row.get(m)
+        if r is not None:
+            return r
+        for i, e in enumerate(m):
+            if e:
+                break
+        parent = m[:i] + (e - 1,) + m[i + 1 :]
+        src = index.get(parent)
+        if src is None:
+            src = visit(parent)
+            depth = depth_of[src] + 1
+        else:
+            depth = 1
+        group = groups.get((depth, i))
+        if group is None:
+            group = groups[depth, i] = ([], [])
+        r = row[m] = len(depth_of)
+        depth_of.append(depth)
+        group[0].append(r)
+        group[1].append(src)
+        return r
+
+    terms = [visit(m) for m in outside]
+    C = np.empty((len(depth_of), ms.dimension), dtype=np.int64)
+    for (depth, i), (rows, srcs) in sorted(groups.items()):
+        C[rows] = a[i][srcs] if depth == 1 else C[srcs] @ a[i] % f.p
+    coeffs = np.array([p.terms[m] % f.p for m in outside], dtype=np.int64)
+    vec = (coeffs @ C[terms] % f.p).tolist()
+    for m, c in p.terms.items():
+        j = index.get(m)
+        if j is not None:
+            vec[j] = (vec[j] + c) % f.p
+    return ms.poly_of(vec)

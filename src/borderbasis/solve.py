@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .fields import NumericError, PrimeField
-from .poly import Polynomial, mono_one, mono_var
+from .poly import Polynomial, mono_key, mono_one, mono_var
 from .quotient import MultiplicationSystem
 
 
@@ -22,15 +22,18 @@ class SolveError(NumericError):
 
 
 class RootSet:
-    """All D = |B| roots (with multiplicity) and the residual metric."""
+    """All D = |B| roots (with multiplicity) and the residual metric: per
+    root, in root order, the max |f(root)| over the inputs (`residuals`), and
+    their maximum, ``mnacr``."""
 
-    __slots__ = ("roots", "mnacr", "seed", "condition")
+    __slots__ = ("roots", "mnacr", "seed", "condition", "residuals")
 
-    def __init__(self, roots, mnacr, seed, condition=None):
+    def __init__(self, roots, mnacr, seed, condition=None, residuals=()):
         self.roots = list(roots)
         self.mnacr = mnacr
         self.seed = seed
         self.condition = condition
+        self.residuals = list(residuals)
 
     def __len__(self):
         return len(self.roots)
@@ -46,6 +49,7 @@ class RootSet:
             "mnacr": self.mnacr,
             "seed": self.seed,
             "condition": self.condition if finite else None,
+            "residuals": self.residuals,
         }
 
 
@@ -61,11 +65,12 @@ def _complex_matrix(ms: MultiplicationSystem, i: int) -> np.ndarray:
 
 
 def evaluate_complex(p: Polynomial, point) -> complex:
-    """p at a complex point, coefficients converted to complex."""
+    """p at a complex point, coefficients converted to complex, summed in
+    `mono_key` order so the value does not depend on the order p was built in."""
     f = p.field
     acc = 0j
-    for m, c in p.terms.items():
-        v = f.to_complex(c)
+    for m in sorted(p.terms, key=mono_key):
+        v = f.to_complex(p.terms[m])
         for k, e in enumerate(m):
             if e:
                 v *= point[k] ** e
@@ -73,13 +78,15 @@ def evaluate_complex(p: Polynomial, point) -> complex:
     return acc
 
 
+def residuals(roots, polys) -> list:
+    """Per root, in order, the maximal norm of the polynomials at it (0.0
+    with none; a nan norm is skipped)."""
+    return [max([0.0, *(abs(evaluate_complex(p, root)) for p in polys)]) for root in roots]
+
+
 def mnacr(roots, polys) -> float:
     """Maximal norm of the input polynomials at the computed roots."""
-    best = 0.0
-    for root in roots:
-        for p in polys:
-            best = max(best, abs(evaluate_complex(p, root)))
-    return best
+    return max([0.0, *residuals(roots, polys)])
 
 
 def eigen_roots(ms: MultiplicationSystem, seed: int = 0, polys=None) -> RootSet:
@@ -129,5 +136,5 @@ def eigen_roots(ms: MultiplicationSystem, seed: int = 0, polys=None) -> RootSet:
             else:
                 root.append(complex(np.vdot(v, mats_t[j] @ v) / np.vdot(v, v)))
         roots.append(tuple(root))
-    resid = mnacr(roots, polys) if polys is not None else 0.0
-    return RootSet(roots, resid, seed, cond)
+    resid = residuals(roots, polys or ())
+    return RootSet(roots, max([0.0, *resid]), seed, cond, resid)

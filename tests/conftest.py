@@ -188,9 +188,10 @@ def rref_fp(a, p):
             a[[r, k]] = a[[k, r]]
         inv = pow(int(a[r, c]), -1, p)
         a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        # only the rows with a nonzero entry in column c change
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
         pivots.append(c)
         r += 1
     return a, pivots

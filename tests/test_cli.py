@@ -119,6 +119,19 @@ def test_cli_solve_reports_the_eigen_condition(capsys):
     assert math.isfinite(report["condition"]) and report["condition"] >= 1
 
 
+def test_cli_solve_reports_per_root_residuals(capsys):
+    # residuals[k] is the max |f(root k)| over the inputs, mnacr their maximum
+    code, out = run(capsys, ["katsura", "-n", "3", "--field", "qq", "--json", "solve"])
+    assert code == 0
+    report = json.loads(out)
+    roots = [tuple(complex(re, im) for re, im in root) for root in report["roots"]]
+    polys = gen_katsura(fields.parse_field("qq"), 3)
+    expected = [max(abs(solve.evaluate_complex(p, root)) for p in polys) for root in roots]
+    assert len(report["residuals"]) == len(roots) == 8
+    assert report["residuals"] == expected
+    assert report["mnacr"] == max(expected) < 1e-9
+
+
 def test_cli_syzygies(capsys, sysfile):
     code, out = run(capsys, ["syzygies", "--json", sysfile])
     assert code == 0

@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
 
 from borderbasis import (
     NotABorderBasisError,
+    Polynomial,
     build_mult_system,
     check_commutation,
     compute_border_basis,
     gen_katsura,
     normal_form,
     parse_choice,
+    parse_field,
 )
 from borderbasis.border import BorderBasis, RewritingRule
 from borderbasis.fields import int64_sums_fit
@@ -15,6 +18,7 @@ from borderbasis.poly import mono_key
 from borderbasis.quotient import commutators
 
 from conftest import (
+    OracleProjector,
     compute,
     non_commuting_basis,
     oracle_normal_form,
@@ -192,6 +196,127 @@ def test_normal_form_history_independent(request, mac, field_name):
         assert nf == normal_form(p, build_mult_system(bb), bb)
         if field_name == "qq":
             assert nf == oracle_normal_form(p, bb)
+
+
+@pytest.mark.parametrize("spec", ["fp:1000003", "fp:2147483647", "qq", "f64:1e-10"])
+def test_residues_are_the_matrices_mod_p(spec):
+    # row j of residues[i] is column j of M_i, only where D-term sums fit int64
+    field = parse_field(spec)
+    ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
+    if not int64_sums_fit(field, ms.dimension):
+        assert ms.residues is None
+        return
+    assert ms.residues.dtype == np.int64
+    assert ms.residues.tolist() == [[[c % field.p for c in col] for col in m] for m in ms.matrices]
+
+
+def _per_monomial(bb):
+    """A copy of bb.ms without its int64 array: `normal_form` then takes the
+    per-monomial path, the reference for the int64 levels."""
+    ms = build_mult_system(bb)
+    ms.residues = None
+    return ms
+
+
+def _query_degree(bb, polys):
+    # twice the largest input degree plus two: peel chains three or more deep
+    return 2 * max(q.degree() for q in polys) + 2
+
+
+@pytest.fixture(scope="module")
+def katsura3_fp():
+    """Katsura 3 over fp:1000003, its generators and a projector up to degree 6."""
+    polys = gen_katsura(parse_field("fp:1000003"), 3)
+    bb = compute_border_basis(polys, parse_choice("mac"))
+    return bb, polys, OracleProjector(bb, _query_degree(bb, polys))
+
+
+def _regular(seed, spec):
+    polys, _ = random_regular_system(seeded(seed), parse_field(spec), 3, 2)
+    return compute_border_basis(polys, parse_choice("mac")), polys
+
+
+def _assert_int64_levels_match(bb, polys, projector, rng, count):
+    deg = _query_degree(bb, polys)
+    for _ in range(count):
+        p = random_poly(rng, bb.field, bb.nvars, deg, density=0.3)
+        nf = normal_form(p, bb.ms, bb)
+        assert nf == projector.project(p) == normal_form(p, _per_monomial(bb), bb)
+        assert all(type(c) is int for c in nf.terms.values())
+
+
+def test_int64_normal_form_matches_the_oracle_on_katsura3(katsura3_fp):
+    bb, polys, projector = katsura3_fp
+    assert bb.ms.residues is not None
+    _assert_int64_levels_match(bb, polys, projector, seeded(61), 6)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 9, 11])  # dimensions 4, 4, 8, 8
+def test_int64_normal_form_matches_the_oracle_on_regular_systems(seed):
+    bb, polys = _regular(seed, "fp:65537")
+    assert bb.ms.residues is not None
+    projector = OracleProjector(bb, _query_degree(bb, polys))
+    _assert_int64_levels_match(bb, polys, projector, seeded(100 + seed), 6)
+
+
+def test_int64_normal_form_matches_the_per_monomial_path_on_katsura4():
+    # the oracle's elimination at degree 8 takes about a minute; the
+    # per-monomial path, which the oracle checks on the smaller bases, is the
+    # reference
+    polys = gen_katsura(parse_field("fp:1000003"), 4)
+    bb = compute_border_basis(polys, parse_choice("mac"))
+    assert bb.ms.residues is not None
+    rng = seeded(67)
+    for _ in range(4):
+        p = random_poly(rng, bb.field, bb.nvars, _query_degree(bb, polys), density=0.3)
+        assert normal_form(p, bb.ms, bb) == normal_form(p, _per_monomial(bb), bb)
+
+
+@pytest.mark.parametrize("seed", [1, 9, 11])  # dimensions 2, 8, 8
+def test_a_prime_outside_the_int64_range_takes_the_per_monomial_path(seed):
+    # over 2^31 - 1 a sum of three products of residues overflows int64: a
+    # basis of dimension 8 has no int64 array, one of dimension 2 has it but
+    # a query with three or more terms outside B does not use it
+    bb, polys = _regular(seed, "fp:2147483647")
+    assert (bb.ms.residues is None) == (bb.dimension > 2)
+    projector = OracleProjector(bb, _query_degree(bb, polys))
+    rng = seeded(200 + seed)
+    for _ in range(4):
+        p = random_poly(rng, bb.field, bb.nvars, _query_degree(bb, polys), density=0.3)
+        assert not int64_sums_fit(bb.field, sum(m not in bb.ms.index for m in p.terms))
+        nf = normal_form(p, bb.ms, bb)
+        assert nf == projector.project(p)
+        assert all(type(c) is int for c in nf.terms.values())
+
+
+def test_int64_normal_form_edge_cases(katsura3_fp):
+    bb, _, projector = katsura3_fp
+    f, n, ms = bb.field, bb.nvars, bb.ms
+    zero = Polynomial.zero(f, n)
+    assert normal_form(zero, ms, bb).is_zero()
+    const = Polynomial.monomial(f, n, (0,) * n, 5)
+    assert normal_form(const, ms, bb) == const
+    inside = Polynomial(f, n, {b: k + 1 for k, b in enumerate(bb.basis)})
+    assert normal_form(inside, ms, bb) == inside
+    # u1*u3^3, u2*u3^3 and u0*u3^3 peel to u3^3; u0*u1*u3^3 peels to u1*u3^3
+    shared = [(1, 0, 0, 3), (0, 1, 0, 3), (0, 0, 1, 3), (1, 1, 0, 3)]
+    assert all(m not in ms.index for m in shared)
+    p = Polynomial(f, n, {m: k + 1 for k, m in enumerate(shared)})
+    singles = [normal_form(Polynomial.monomial(f, n, m, k + 1), ms, bb) for k, m in enumerate(shared)]
+    total = Polynomial.zero(f, n)
+    for q in singles:
+        total = total.add(q)
+    assert normal_form(p, ms, bb) == total == projector.project(p)
+    # coefficients outside [0, p), in B and outside it, even beyond int64
+    P = f.p
+    offsets = [-3 * P, 2**70 * P, -(2**64) * P, 7 * P]
+    raw = Polynomial(
+        f, n, {m: c + offsets[k % 4] for k, (m, c) in enumerate({**inside.terms, **p.terms}.items())}
+    )
+    reduced = Polynomial(f, n, {m: c % P for m, c in raw.terms.items()})
+    nf = normal_form(raw, ms, bb)
+    assert nf == normal_form(reduced, ms, bb) == normal_form(raw, _per_monomial(bb), bb)
+    assert all(type(c) is int and 0 <= c < P for c in nf.terms.values())
 
 
 def test_matrix_json_round(qq, mac):
