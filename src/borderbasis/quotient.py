@@ -43,6 +43,10 @@ class MultiplicationSystem:
     int64 array mod p of shape (n, D, D), with ``residues[i][j]`` the column j
     of M_i; `commutators` and `normal_form` multiply it.  On any other field
     it is None.
+
+    ``outside[i]`` lists, in basis order, the pairs (k, x_i*B[k]) for each
+    basis position k whose x_i-multiple leaves B: the border shifts that
+    `syzygy.mu` and the syzygy generators read.
     """
 
     def __init__(self, basis, matrices, field, nvars):
@@ -54,6 +58,10 @@ class MultiplicationSystem:
         self._entries = [
             [[(k, c) for k, c in enumerate(col) if c != field.zero] for col in m] for m in matrices
         ]
+        self.outside = []
+        for i in range(nvars):
+            shifts = ((k, mono_mul(b, mono_var(nvars, i))) for k, b in enumerate(self.basis))
+            self.outside.append([(k, w) for k, w in shifts if w not in self.index])
         self.residues = None
         if int64_sums_fit(field, len(self.basis)):
             self.residues = np.array(matrices, dtype=np.int64) % field.p

@@ -42,15 +42,19 @@ class RootSet:
         return iter(self.roots)
 
     def to_json_dict(self):
-        """The report of `solve`; a condition that is not finite is written as null."""
-        finite = self.condition is not None and math.isfinite(self.condition)
+        """The report of `solve`; a condition, residual or mnacr that is not
+        finite is written as null."""
         return {
             "roots": [[[z.real, z.imag] for z in root] for root in self.roots],
-            "mnacr": self.mnacr,
+            "mnacr": _finite_or_none(self.mnacr),
             "seed": self.seed,
-            "condition": self.condition if finite else None,
-            "residuals": self.residuals,
+            "condition": _finite_or_none(self.condition),
+            "residuals": [_finite_or_none(r) for r in self.residuals],
         }
+
+
+def _finite_or_none(x):
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _complex_matrix(ms: MultiplicationSystem, i: int) -> np.ndarray:
@@ -80,8 +84,13 @@ def evaluate_complex(p: Polynomial, point) -> complex:
 
 def residuals(roots, polys) -> list:
     """Per root, in order, the maximal norm of the polynomials at it (0.0
-    with none; a nan norm is skipped)."""
-    return [max([0.0, *(abs(evaluate_complex(p, root)) for p in polys)]) for root in roots]
+    with none; a nan norm counts as infinite, so such a root never reads as
+    a good one)."""
+    out = []
+    for root in roots:
+        norms = (abs(evaluate_complex(p, root)) for p in polys)
+        out.append(max([0.0, *(math.inf if math.isnan(x) else x for x in norms)]))
+    return out
 
 
 def mnacr(roots, polys) -> float:

@@ -2,14 +2,15 @@
 
 The generators are the commutation relations, lifted.  For each neighbour
 column (k, i, j) of `poly.neighbours`, with b = B[k], u1 = x_i*b and
-u2 = x_j*b, let c_i and c_j be the polynomials of column k of M_i and M_j
-(x_i*b = c_i + f_u1 and x_j*b = c_j + f_u2, a term f_u absent when u lies in
-B).  The one lift gives _lift(x_i, u2) = x_i*e_u2 + mu^i(c_j), so the
-generator _lift(x_i, u2) - _lift(x_j, u1) is
+u2 = x_j*b, let c_i and c_j be column k of M_i and M_j (x_i*b = c_i + f_u1
+and x_j*b = c_j + f_u2, a term f_u absent when u lies in B).  The generator
+is, in closed form over those columns,
 
     x_i*e_u2 - x_j*e_u1 - mu^j(c_i) + mu^i(c_j)
 
-and has Sum h_w f_w = pi(x_j c_i) - pi(x_i c_j), minus the column k of
+(a term e_u absent when u lies in B), where mu^i reads the border shifts
+``ms.outside[i]`` of the multiplication system.  It has
+Sum h_w f_w = pi(x_j c_i) - pi(x_i c_j), minus the column k of
 M_i M_j - M_j M_i, so it is a syzygy exactly when that column vanishes:
 `check_commutation` certifies all generators at once.  A generator is
 negated when u2 lies in B, so the term x_j*e_u1 leads.  Whether u1, u2 and
@@ -17,9 +18,13 @@ x_i*x_j*b lie in B only labels the relation: next-door, non-stair or
 across-the-street.  These generate the whole syzygy module; reduce_syzygy
 implements the descent that rewrites any syzygy to zero modulo them.
 
-Inside this module a vector is flat: (m, w) -> coefficient, one key per term
-m*e_w, so `poly.axpy` updates it like any other sparse map.  The public
-functions take and return {w: Polynomial}; `_flat` and `_nested` convert.
+The one lift, `_lift`, gives _lift(x_i, u2) = x_i*e_u2 + mu^i(c_j), so each
+generator equals _lift(x_i, u2) - _lift(x_j, u1); `reduce_syzygy` builds its
+exchange vectors with `_lift`, and the tests hold the generators to it.
+Inside the lift and the reduction a vector is flat: (m, w) -> coefficient,
+one key per term m*e_w, so `poly.axpy` updates it like any other sparse map.
+The public functions take and return {w: Polynomial}; `_flat` and `_nested`
+convert.
 """
 
 from __future__ import annotations
@@ -72,15 +77,8 @@ def mu(v, i: int, bb: BorderBasis) -> dict:
     """mu^i of the element p of <B> with coordinates v: the constant
     coefficients (1, w) -> h_w with pi(x_i p) = x_i p - Sum h_w f_w."""
     f = bb.field
-    xi = mono_var(bb.nvars, i)
     one = mono_one(bb.nvars)
-    out = {}
-    for b, c in zip(bb.basis, v):
-        if not f.is_zero(c):
-            w = mono_mul(b, xi)
-            if w not in bb.basis_set:
-                out[one, w] = c
-    return out
+    return {(one, w): v[k] for k, w in bb.ms.outside[i] if not f.is_zero(v[k])}
 
 
 def _flat(coeffs: dict) -> dict:
@@ -120,7 +118,8 @@ def generate_syzygies(bb: BorderBasis):
     """The lifted commutator columns, one per `neighbours` column (see the
     module docstring), labelled next-door / non-stair / across-the-street.
 
-    Each is _lift(x_i, x_j*b) - _lift(x_j, x_i*b).  They are syzygies exactly
+    Each is written in closed form from the columns of the matrices and
+    equals _lift(x_i, x_j*b) - _lift(x_j, x_i*b).  They are syzygies exactly
     when the matrices commute, so `check_commutation` certifies them all at
     once; a failure raises SyzygyError naming (i, j, column).
     """
@@ -130,22 +129,52 @@ def generate_syzygies(bb: BorderBasis):
     f = bb.field
     n = bb.nvars
     minus_one = f.normalize(-f.one)
+    zero = Polynomial(f, n)
     out = []
     for k, i, j in neighbours(bb.basis, bb.basis_set):
         b = bb.basis[k]
         u1 = mono_mul(b, mono_var(n, i))
         u2 = mono_mul(b, mono_var(n, j))
         in1, in2 = u1 in bb.basis_set, u2 in bb.basis_set
-        vec = axpy(f, _lift(mono_var(n, i), u2, bb), minus_one, _lift(mono_var(n, j), u1, bb))
+        coeffs = _commutator_column(bb, k, i, j, None if in1 else u1, None if in2 else u2)
         if in2:
-            vec = axpy(f, {}, minus_one, vec)
+            for h in coeffs.values():
+                for m, c in h.items():
+                    h[m] = f.normalize(minus_one * c)
         if not (in1 or in2):
             kind = KIND_ACROSS_STREET
         elif mono_mul(u1, mono_var(n, j)) in bb.basis_set:
             kind = KIND_NON_STAIR
         else:
             kind = KIND_NEXT_DOOR
-        out.append(SyzygyRelation(_nested(vec, bb), kind, (b, i, j)))
+        out.append(SyzygyRelation({w: zero._of(h) for w, h in coeffs.items()}, kind, (b, i, j)))
+    return out
+
+
+def _commutator_column(bb: BorderBasis, k: int, i: int, j: int, u1, u2) -> dict:
+    """x_i*e_u2 - x_j*e_u1 - mu^j(c_i) + mu^i(c_j) as {w: {m: c}}, c_i and
+    c_j the columns k of M_i and M_j, u1 or u2 None when it lies in B.  Sums
+    and keys come in the order of the flat _lift(x_i, u2) - _lift(x_j, u1),
+    so the two agree float for float and key for key."""
+    f, n = bb.field, bb.nvars
+    minus_one = f.normalize(-f.one)
+    mus = mu(bb.ms.matrices[j][k], i, bb)
+    rest = {}  # the terms of -mu^j(c_i) that mu^i(c_j) lacks
+    for key, c in mu(bb.ms.matrices[i][k], j, bb).items():
+        c = f.normalize(minus_one * c)
+        if key not in mus:
+            rest[key] = c
+        elif f.is_zero(c := f.normalize(mus[key] + c)):
+            del mus[key]
+        else:
+            mus[key] = c
+    out = {} if u2 is None else {u2: {mono_var(n, i): f.one}}
+    for (one, w), c in mus.items():
+        out.setdefault(w, {})[one] = c
+    if u1 is not None:
+        out.setdefault(u1, {})[mono_var(n, j)] = minus_one
+    for (one, w), c in rest.items():
+        out.setdefault(w, {})[one] = c
     return out
 
 

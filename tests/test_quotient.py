@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from borderbasis import (
+    MultiplicationSystem,
     NotABorderBasisError,
     Polynomial,
     build_mult_system,
@@ -14,7 +15,7 @@ from borderbasis import (
 )
 from borderbasis.border import BorderBasis, RewritingRule
 from borderbasis.fields import int64_sums_fit
-from borderbasis.poly import mono_key
+from borderbasis.poly import mono_key, mono_mul, mono_var
 from borderbasis.quotient import commutators
 
 from conftest import (
@@ -208,6 +209,18 @@ def test_residues_are_the_matrices_mod_p(spec):
         return
     assert ms.residues.dtype == np.int64
     assert ms.residues.tolist() == [[[c % field.p for c in col] for col in m] for m in ms.matrices]
+
+
+@pytest.mark.parametrize("choice", ["mac", "drvl"])
+def test_border_table_lists_the_shifts_leaving_the_basis(choice):
+    # outside[i]: (k, x_i*B[k]) in basis order wherever x_i*B[k] is not in B,
+    # the same whether the system is built by hand or by build_mult_system
+    bb = compute_border_basis(gen_katsura(parse_field("qq"), 3), parse_choice(choice))
+    n = bb.nvars
+    shifts = [[(k, mono_mul(b, mono_var(n, i))) for k, b in enumerate(bb.basis)] for i in range(n)]
+    expected = [[(k, w) for k, w in row if w not in bb.basis_set] for row in shifts]
+    by_hand = MultiplicationSystem(bb.basis, bb.ms.matrices, bb.field, n)
+    assert by_hand.outside == build_mult_system(bb).outside == bb.ms.outside == expected
 
 
 def _per_monomial(bb):

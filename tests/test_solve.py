@@ -11,7 +11,7 @@ from borderbasis import (
     parse_choice,
     parse_field,
 )
-from borderbasis.solve import mnacr
+from borderbasis.solve import mnacr, residuals
 from borderbasis.systems import gen_intro_family
 
 from conftest import rule_residual, system_of
@@ -101,3 +101,14 @@ def test_mnacr_direct(qq):
 @pytest.mark.parametrize("condition", [math.inf, math.nan, None])
 def test_report_writes_a_condition_that_is_not_finite_as_null(condition):
     assert RootSet([], 0.0, 0, condition).to_json_dict()["condition"] is None
+
+
+def test_a_nan_residual_counts_as_infinite(qq):
+    polys = system_of(["x0^2 - 1", "x1^2 - x1"], qq)
+    roots = [(complex(math.nan, 0), 0j), ((1 + 0j), 0j)]
+    assert residuals(roots, polys) == [math.inf, 0.0]
+    assert mnacr(roots, polys) == math.inf
+    report = RootSet(roots, mnacr(roots, polys), 0, 1.0, residuals(roots, polys)).to_json_dict()
+    assert report["residuals"] == [None, 0.0]
+    assert report["mnacr"] is None
+    assert report["condition"] == 1.0

@@ -2,17 +2,29 @@ from borderbasis import (
     Polynomial,
     check_commutation,
     compute_border_basis,
+    gen_katsura,
     generate_syzygies,
     normal_form,
+    parse_choice,
     reduce_syzygy,
 )
 from borderbasis.fields import parse_field
-from borderbasis.poly import mono_key, monomials_of_degree_at_most
+from borderbasis.poly import (
+    axpy,
+    mono_key,
+    mono_mul,
+    mono_one,
+    mono_var,
+    monomials_of_degree_at_most,
+    neighbours,
+)
 from borderbasis.syzygy import (
     KIND_ACROSS_STREET,
     KIND_NEXT_DOOR,
     KIND_NON_STAIR,
     SyzygyError,
+    _lift,
+    _nested,
     expand_syzygy,
     mu,
     verify_syzygy,
@@ -30,6 +42,67 @@ from conftest import (
     seeded,
     stable_by_division,
 )
+
+
+# B = {1, x0, x1, x0*x1, x1^2, x0^2*x1} under drvl: connected to 1, not an order ideal
+NON_ORDER_IDEAL = ["-3*x1^2 + 8*x0*x1 + 8*x0^2 + 7*x1", "x0^2*x1 - 8*x0^3 - 2*x1^2 + 8*x0^2"]
+
+BASES = {
+    "qq": lambda: compute_border_basis(gen_katsura(parse_field("qq"), 3), parse_choice("drvl")),
+    "fp": lambda: compute_border_basis(gen_katsura(parse_field("fp:1000003"), 4), parse_choice("mac")),
+    "drvl": lambda: compute(NON_ORDER_IDEAL, parse_field("qq"), choice="drvl"),
+    "f64": lambda: compute_border_basis(gen_katsura(parse_field("f64:1e-10"), 3), parse_choice("mac")),
+}
+
+
+def _mu_by_products(v, i, bb):
+    """mu^i with one monomial product per basis element: the reference for
+    the border table ``ms.outside``."""
+    f = bb.field
+    xi = mono_var(bb.nvars, i)
+    one = mono_one(bb.nvars)
+    out = {}
+    for b, c in zip(bb.basis, v):
+        if not f.is_zero(c):
+            w = mono_mul(b, xi)
+            if w not in bb.basis_set:
+                out[one, w] = c
+    return out
+
+
+def _in_order(coeffs):
+    return [(w, list(h.terms.items())) for w, h in coeffs.items()]
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_mu_equals_the_product_reference(name):
+    bb = BASES[name]()
+    f, D = bb.field, bb.dimension
+    units = [[f.one if r == k else f.zero for r in range(D)] for k in range(D)]
+    columns = [col for m in bb.ms.matrices for col in m]
+    for i in range(bb.nvars):
+        for v in units + columns:
+            assert list(mu(v, i, bb).items()) == list(_mu_by_products(v, i, bb).items())
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_generators_equal_their_lift_definition(name):
+    # the closed form over the matrix columns against the one lift, value for
+    # value and key for key (floats bit for bit)
+    bb = BASES[name]()
+    f, n = bb.field, bb.nvars
+    minus_one = f.normalize(-f.one)
+    rels = generate_syzygies(bb)
+    assert [r.origin for r in rels] == [
+        (bb.basis[k], i, j) for k, i, j in neighbours(bb.basis, bb.basis_set)
+    ]
+    for r in rels:
+        b, i, j = r.origin
+        u1, u2 = mono_mul(b, mono_var(n, i)), mono_mul(b, mono_var(n, j))
+        vec = axpy(f, _lift(mono_var(n, i), u2, bb), minus_one, _lift(mono_var(n, j), u1, bb))
+        if u2 in bb.basis_set:
+            vec = axpy(f, {}, minus_one, vec)
+        assert _in_order(r.coeffs) == _in_order(_nested(vec, bb))
 
 
 def test_mu_basics(qq, mac):
@@ -73,8 +146,6 @@ def test_one_relation_per_mixed_triple(fp, mac):
         origins = [r.origin for r in rels]
         assert len(origins) == len(set(origins))
         n = bb.nvars
-        from borderbasis.poly import mono_mul, mono_var
-
         expected = 0
         for m in bb.basis:
             for i1 in range(n):
@@ -160,8 +231,6 @@ def test_random_ideal_combination_syzygies(fp, mac):
 
 def test_decomposition_order_independence(qq, mac):
     # Xi along two variable orders differs by something reducing to zero
-    from borderbasis.syzygy import _lift, _nested
-
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
     theta = (2, 0)
     # m = x0*x1 applied to theta: x0 outermost (the lift) vs x1 outermost
@@ -169,7 +238,7 @@ def test_decomposition_order_independence(qq, mac):
     t_left = _lift(m, theta, bb)
 
     # peel the other variable first by one manual step on the lift of x0
-    from borderbasis.poly import axpy, mono_div, mono_mul, mono_var
+    from borderbasis.poly import mono_div
 
     m_prev = mono_div(m, mono_var(2, 1))
     prev = _lift(m_prev, theta, bb)
@@ -184,13 +253,10 @@ def test_decomposition_order_independence(qq, mac):
 
 @pytest.mark.parametrize("spec", ["qq", "fp:65537"], ids=["qq", "fp"])
 def test_lift_expands_to_projection(spec):
-    from borderbasis.poly import border, connected_component_of_one, mono_mul
-    from borderbasis.syzygy import _lift, _nested
+    from borderbasis.poly import border, connected_component_of_one
 
     f = parse_field(spec)
-    srcs = ["-3*x1^2 + 8*x0*x1 + 8*x0^2 + 7*x1", "x0^2*x1 - 8*x0^3 - 2*x1^2 + 8*x0^2"]
-    bb = compute(srcs, f, choice="drvl")
-    # B = {1, x0, x1, x0*x1, x1^2, x0^2*x1}: connected to 1, not an order ideal
+    bb = compute(NON_ORDER_IDEAL, f, choice="drvl")
     assert connected_component_of_one(bb.basis_set) == bb.basis_set
     assert not stable_by_division(bb.basis_set)
     for theta in sorted(bb.basis_set | border(bb.basis_set), key=mono_key):
