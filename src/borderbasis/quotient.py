@@ -7,11 +7,13 @@ certifies that the rewriting rules define a border basis.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fields import FloatField, NumericError, int64_sums_fit
+from .fields import FloatField, NumericError, RationalField, int64_sums_fit
 from .poly import (
     Monomial,
     Polynomial,
@@ -41,8 +43,11 @@ class MultiplicationSystem:
     Over a prime field whose sums of D products fit int64
     (`int64_sums_fit`), ``residues`` holds the same matrices once more as one
     int64 array mod p of shape (n, D, D), with ``residues[i][j]`` the column j
-    of M_i; `commutators` and `normal_form` multiply it.  On any other field
-    it is None.
+    of M_i.  Over ``qq``, ``numerators`` holds them as one numpy object array
+    of Python ints of the same shape, ``numerators[i][j]`` the column j of
+    d_i * M_i, with d_i = ``denominators[i]`` the lcm of the denominators in
+    M_i.  `commutators` and `normal_form` multiply whichever array is set;
+    an attribute that does not belong to the field is None.
 
     ``outside[i]`` lists, in basis order, the pairs (k, x_i*B[k]) for each
     basis position k whose x_i-multiple leaves B: the border shifts that
@@ -62,9 +67,18 @@ class MultiplicationSystem:
         for i in range(nvars):
             shifts = ((k, mono_mul(b, mono_var(nvars, i))) for k, b in enumerate(self.basis))
             self.outside.append([(k, w) for k, w in shifts if w not in self.index])
-        self.residues = None
+        self.residues = self.numerators = self.denominators = None
         if int64_sums_fit(field, len(self.basis)):
             self.residues = np.array(matrices, dtype=np.int64) % field.p
+        elif isinstance(field, RationalField):
+            self.denominators = [math.lcm(*(c.denominator for col in m for c in col)) for m in matrices]
+            self.numerators = np.array(
+                [
+                    [[c.numerator * (d // c.denominator) for c in col] for col in m]
+                    for m, d in zip(matrices, self.denominators)
+                ],
+                dtype=object,
+            )
 
     @property
     def dimension(self) -> int:
@@ -136,20 +150,36 @@ def build_mult_system(bb: BorderBasis) -> MultiplicationSystem:
     return MultiplicationSystem(basis, matrices, f, n)
 
 
+def _integer_matrices(ms: MultiplicationSystem):
+    """The integer array the exact paths multiply, as (a, d, mod): over Q
+    row j of a[i] is the column j of d[i] * M_i and mod is None, since the
+    products are exact; over Z/p row j of a[i] is the column j of M_i, d is
+    None and mod is the p each product is reduced by.  None when ``ms`` holds
+    no such array (f64, and primes beyond `int64_sums_fit`)."""
+    if ms.residues is not None:
+        return ms.residues, None, ms.field.p
+    if ms.numerators is not None:
+        return ms.numerators, ms.denominators, None
+    return None
+
+
 def commutators(ms: MultiplicationSystem):
     """The nonzero columns of M_i M_j - M_j M_i, as (i, j, column index,
     column), over the `neighbours` columns in their order.
 
-    Exact fields compare exactly: over a prime field whose sums of D
-    products fit int64 each difference is formed once as an int64 matrix
-    product mod p on ``ms.residues`` and its columns are yielded as lists of
-    ints, other fields apply the matrices column by column.  The float field
-    uses an entrywise tolerance max(eps, 1e-10 * |M_i| * |M_j|) so badly
-    scaled systems do not fail spuriously.
+    Exact fields compare exactly.  When ``ms`` holds an integer array (the
+    int64 ``residues`` mod p, or the ``numerators`` over Q) each difference is
+    formed once per pair as A_j A_i - A_i A_j = d_i d_j (M_i M_j - M_j M_i)^T,
+    reduced mod p, and zero-tested on integers; a nonzero column is yielded
+    as ints mod p, or as Fractions over d_i d_j, the values the column by
+    column path gives.  Other fields apply the matrices column by column.
+    The float field uses an entrywise tolerance max(eps, 1e-10 * |M_i| *
+    |M_j|) so badly scaled systems do not fail spuriously.
     """
     f = ms.field
-    if ms.residues is not None:
-        yield from _commutators_mod_p(ms)
+    arrays = _integer_matrices(ms)
+    if arrays is not None:
+        yield from _commutators_on_integers(ms, *arrays)
         return
     if isinstance(f, FloatField):
         norms = [max((f.magnitude(c) for col in m for c in col), default=0.0) for m in ms.matrices]
@@ -166,23 +196,25 @@ def commutators(ms: MultiplicationSystem):
             yield i, j, k, diff
 
 
-def _commutators_mod_p(ms: MultiplicationSystem):
-    """`commutators` over Z/p: M_i M_j - M_j M_i mod p once per pair."""
-    p = ms.field.p
+def _commutators_on_integers(ms: MultiplicationSystem, a, d, mod):
+    """`commutators` on an integer array (`_integer_matrices`), one product
+    per pair."""
     n = ms.nvars
-    a = ms.residues
-    # a[i] holds the columns of M_i as rows, so a[j] @ a[i] is (M_i M_j)^T
+    # a[i] holds the columns of d_i M_i as rows, so a[j] @ a[i] is d_i d_j (M_i M_j)^T
     diffs = {}
     for i in range(n):
         for j in range(i + 1, n):
-            d = (a[j] @ a[i] - a[i] @ a[j]) % p
-            if d.any():
-                diffs[i, j] = d
+            diff = a[j] @ a[i] - a[i] @ a[j]
+            if mod is not None:
+                diff %= mod
+            if diff.any():
+                diffs[i, j] = diff
     if diffs:
         for k, i, j in neighbours(ms.basis, ms.index):
-            d = diffs.get((i, j))
-            if d is not None and d[k].any():
-                yield i, j, k, d[k].tolist()
+            diff = diffs.get((i, j))
+            if diff is not None and diff[k].any():
+                col = diff[k].tolist()
+                yield i, j, k, col if mod is not None else [Fraction(x, d[i] * d[j]) for x in col]
 
 
 def check_commutation(ms: MultiplicationSystem):
@@ -200,16 +232,18 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
     so the variable order is irrelevant.  The coordinates are memoized for
     this call only, so a query costs the same whatever was asked before.
 
-    When ``ms.residues`` is set and the sums of the terms of p outside B fit
-    int64 too, the coordinates are computed level by level on that array
-    (`_normal_form_mod_p`); otherwise one monomial at a time with
-    `MultiplicationSystem.apply`.  Both give the same residues.
+    When ``ms`` holds an integer array (`_integer_matrices`) the coordinates
+    are computed level by level on it (`_normal_form_on_integers`): over Q
+    always, over Z/p when the sums of the terms of p outside B fit int64
+    too.  Otherwise they are computed one monomial at a time with
+    `MultiplicationSystem.apply`.  Both give the same values.
     """
     f = ms.field
-    if ms.residues is not None:
+    arrays = _integer_matrices(ms)
+    if arrays is not None:
         outside = [m for m in p.terms if m not in ms.index]
-        if int64_sums_fit(f, len(outside)):
-            return _normal_form_mod_p(p, outside, ms)
+        if ms.residues is None or int64_sums_fit(f, len(outside)):
+            return _normal_form_on_integers(p, outside, ms, *arrays)
     memo: dict[Monomial, list] = {}
 
     def vec_of_monomial(m: Monomial):
@@ -232,18 +266,22 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
     return ms.poly_of([f.normalize(x) for x in acc])
 
 
-def _normal_form_mod_p(p: Polynomial, outside: list, ms: MultiplicationSystem) -> Polynomial:
-    """`normal_form` over Z/p on ``ms.residues``, for the terms ``outside`` B.
+def _normal_form_on_integers(p: Polynomial, outside: list, ms: MultiplicationSystem, a, d, mod):
+    """`normal_form` on an integer array (`_integer_matrices`), for the terms
+    ``outside`` B.
 
     Each monomial needed is x_i times its parent, the monomial with its
     leftmost variable x_i peeled off, at depth one more than the parent's
     (a monomial of B has depth 0).  Its coordinates are one row of C: at
-    depth 1 the column of M_i at the parent, deeper (C[parents] @ a[i]) mod p
-    for all monomials of that depth and variable at once.  A parent shared by
-    several monomials gets one row.  The answer is the coefficients mod p
-    times the rows of p's terms, plus p's terms in B.
+    depth 1 the row of a[i] at the parent, deeper C[parents] @ a[i] (mod p),
+    for all monomials of that depth and variable at once.  Over Q a row
+    stands over its own denominator, the product of the d_i along its
+    peels.  A parent shared by several monomials gets one row.  The answer
+    is p's coefficients times the rows of its terms outside B, plus its
+    terms in B: mod p over Z/p; over Q as integers over one common
+    denominator, each coordinate made a Fraction once.
     """
-    f, a, index = ms.field, ms.residues, ms.index
+    index = ms.index
     row: dict[Monomial, int] = {}
     depth_of: list[int] = []  # by row
     groups: dict[tuple, tuple] = {}  # (depth, i) -> (rows, their parents' columns or rows)
@@ -273,13 +311,38 @@ def _normal_form_mod_p(p: Polynomial, outside: list, ms: MultiplicationSystem) -
         return r
 
     terms = [visit(m) for m in outside]
-    C = np.empty((len(depth_of), ms.dimension), dtype=np.int64)
+    C = np.empty((len(depth_of), ms.dimension), dtype=a.dtype)
+    den = [1] * len(depth_of)  # by row; over Q the product of the d_i along its peels
     for (depth, i), (rows, srcs) in sorted(groups.items()):
-        C[rows] = a[i][srcs] if depth == 1 else C[srcs] @ a[i] % f.p
-    coeffs = np.array([p.terms[m] % f.p for m in outside], dtype=np.int64)
-    vec = (coeffs @ C[terms] % f.p).tolist()
+        if depth == 1:
+            C[rows] = a[i][srcs]
+        else:
+            product = C[srcs] @ a[i]
+            C[rows] = product if mod is None else product % mod
+        if mod is None:
+            for r, s in zip(rows, srcs):
+                den[r] = d[i] if depth == 1 else den[s] * d[i]
+    vec = [0] * ms.dimension
+    if mod is not None:
+        if terms:
+            coeffs = np.array([p.terms[m] % mod for m in outside], dtype=np.int64)
+            vec = (coeffs @ C[terms] % mod).tolist()
+        for m, c in p.terms.items():
+            j = index.get(m)
+            if j is not None:
+                vec[j] = (vec[j] + c) % mod
+        return ms.poly_of(vec)
+    # over Q every term is taken over one common denominator
+    coeffs = [p.terms[m] for m in outside]
+    common = math.lcm(
+        *(c.denominator * den[r] for c, r in zip(coeffs, terms)),
+        *(c.denominator for m, c in p.terms.items() if m in index),
+    )
+    if terms:
+        weights = [c.numerator * (common // (c.denominator * den[r])) for c, r in zip(coeffs, terms)]
+        vec = (np.array(weights, dtype=object) @ C[terms]).tolist()
     for m, c in p.terms.items():
         j = index.get(m)
         if j is not None:
-            vec[j] = (vec[j] + c) % f.p
-    return ms.poly_of(vec)
+            vec[j] += c.numerator * (common // c.denominator)
+    return ms.poly_of([Fraction(x, common) for x in vec])

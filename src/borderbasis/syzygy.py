@@ -60,12 +60,16 @@ class SyzygyError(NumericError):
 
 
 class SyzygyRelation:
-    """A coefficient vector (h_w) over the border with Sum h_w f_w = 0."""
+    """A coefficient vector (h_w) over the border with Sum h_w f_w = 0.
+
+    ``coeffs`` is stored as given: every h_w in it is a nonzero polynomial
+    (`generate_syzygies` builds only such), so an absent w means h_w = 0.
+    """
 
     __slots__ = ("coeffs", "kind", "origin")
 
     def __init__(self, coeffs: dict, kind: str, origin):
-        self.coeffs = {w: h for w, h in coeffs.items() if not h.is_zero()}
+        self.coeffs = coeffs
         self.kind = kind
         self.origin = origin
 

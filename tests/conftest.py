@@ -416,7 +416,8 @@ def non_commuting_basis(field):
 
 def reference_commutators(ms):
     """`commutators` over an exact field, column by column through
-    `MultiplicationSystem.apply`: the reference for the int64 products."""
+    `MultiplicationSystem.apply`: the reference for the products on the
+    integer arrays (int64 mod p, and the numerators over qq)."""
     f = ms.field
     out = []
     for k, i, j in neighbours(ms.basis, ms.index):

@@ -442,6 +442,26 @@ def test_cli_float_pivoting_is_pinned(capsys, tmp_path, source, choice, size, ba
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == basis_sha256
 
 
+def test_cli_qq_normal_forms_are_pinned(capsys, tmp_path):
+    # three non-members of degree 5 and 6 with fractional coefficients: every
+    # coordinate of the qq normal form, byte for byte
+    code, text = run(capsys, ["katsura", "-n", "3", "print"])
+    assert code == 0
+    path = tmp_path / "k3.txt"
+    path.write_text(text)
+    queries = [
+        "1/3*u0^5 + 2/7*u1*u2^4",
+        "-5/11*u3^6 + 3/4*u0*u1*u2*u3^2 - 1/2",
+        "7/9*u0^2*u1^3 - 4/13*u2^5*u3 + 1/6*u1",
+    ]
+    code, out = run(capsys, ["normalform", "--json", *(a for q in queries for a in ("-p", q)), str(path)])
+    assert code == 0
+    assert all(r["normal_form"] != "0" for r in json.loads(out)["normal_forms"])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "4523bac95660ed6cafd98550e0cfbcf671dd66adc10c502f673bbd1a4ad41a88"
+    )
+
+
 # certified over f64; an absolute-eps test of the unscaled expansions would
 # reject some of its relations, though each vanishes to within rounding of
 # its largest product

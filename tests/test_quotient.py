@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from borderbasis import (
     parse_field,
 )
 from borderbasis.border import BorderBasis, RewritingRule
-from borderbasis.fields import int64_sums_fit
+from borderbasis.fields import RationalField, int64_sums_fit
 from borderbasis.poly import mono_key, mono_mul, mono_var
 from borderbasis.quotient import commutators
 
@@ -101,6 +104,20 @@ def test_int64_commutators_match_the_reference(fp, build):
     found = list(commutators(bb.ms))
     assert found and found == reference_commutators(bb.ms)
     assert all(type(c) is int for *_, col in found for c in col)
+
+
+@pytest.mark.parametrize(
+    "build, denominators", [(non_commuting_basis, {1}), (_katsura3_with_a_wrong_tail, {19008, 66528, 133056})]
+)
+def test_qq_commutators_match_the_reference(qq, build, denominators):
+    # the integer products over d_i*d_j must yield the normalized Fraction
+    # columns the column-by-column path yields, in its order, whether the d_i
+    # are all 1 or differ across the variables
+    bb = build(qq)
+    assert set(bb.ms.denominators) == denominators
+    found = list(commutators(bb.ms))
+    assert found and found == reference_commutators(bb.ms)
+    assert all(type(c) is Fraction for *_, col in found for c in col)
 
 
 def test_normal_form_basics(qq, mac):
@@ -211,6 +228,26 @@ def test_residues_are_the_matrices_mod_p(spec):
     assert ms.residues.tolist() == [[[c % field.p for c in col] for col in m] for m in ms.matrices]
 
 
+@pytest.mark.parametrize("spec", ["qq", "fp:1000003", "fp:2147483647", "f64:1e-10"])
+def test_numerators_are_the_matrices_over_one_denominator(spec):
+    # row j of numerators[i] over denominators[i] (the lcm of the
+    # denominators in M_i) is column j of M_i, on qq only
+    field = parse_field(spec)
+    ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
+    if not isinstance(field, RationalField):
+        assert ms.numerators is None and ms.denominators is None
+        return
+    assert ms.residues is None
+    D = ms.dimension
+    assert ms.numerators.dtype == object and ms.numerators.shape == (ms.nvars, D, D)
+    for i, d in enumerate(ms.denominators):
+        assert d == math.lcm(*(c.denominator for col in ms.matrices[i] for c in col))
+        for j in range(D):
+            for k in range(D):
+                a = ms.numerators[i][j][k]
+                assert type(a) is int and Fraction(a, d) == ms.matrices[i][j][k]
+
+
 @pytest.mark.parametrize("choice", ["mac", "drvl"])
 def test_border_table_lists_the_shifts_leaving_the_basis(choice):
     # outside[i]: (k, x_i*B[k]) in basis order wherever x_i*B[k] is not in B,
@@ -224,10 +261,10 @@ def test_border_table_lists_the_shifts_leaving_the_basis(choice):
 
 
 def _per_monomial(bb):
-    """A copy of bb.ms without its int64 array: `normal_form` then takes the
-    per-monomial path, the reference for the int64 levels."""
+    """A copy of bb.ms without its integer array: `normal_form` then takes the
+    per-monomial path, the reference for the levels on the array."""
     ms = build_mult_system(bb)
-    ms.residues = None
+    ms.residues = ms.numerators = None
     return ms
 
 
@@ -330,6 +367,67 @@ def test_int64_normal_form_edge_cases(katsura3_fp):
     nf = normal_form(raw, ms, bb)
     assert nf == normal_form(reduced, ms, bb) == normal_form(raw, _per_monomial(bb), bb)
     assert all(type(c) is int and 0 <= c < P for c in nf.terms.values())
+
+
+def _fractional_query(rng, bb, deg):
+    """A random query whose coefficients c/q, 0 < |c| <= 9 and q a prime
+    above 9, are none of them integers."""
+    p = random_poly(rng, bb.field, bb.nvars, deg, density=0.3)
+    return Polynomial(bb.field, bb.nvars, {m: c / rng.choice([11, 13, 17, 19]) for m, c in p.terms.items()})
+
+
+def _assert_qq_levels_match(bb, p):
+    nf = normal_form(p, bb.ms, bb)
+    assert nf == normal_form(p, _per_monomial(bb), bb)
+    assert all(type(c) is Fraction for c in nf.terms.values())
+    return nf
+
+
+def test_qq_normal_form_matches_the_oracles_on_katsura3(katsura3_fp):
+    # the exact elimination oracle takes about 40 s on Katsura 3 over qq: the
+    # per-monomial path is the exact reference, and the elimination mod
+    # 1000003 on the same B checks every answer mod p
+    fp_bb, _, projector = katsura3_fp
+    qq, fp = parse_field("qq"), fp_bb.field
+    polys = gen_katsura(qq, 3)
+    bb = compute_border_basis(polys, parse_choice("mac"))
+    assert bb.basis == fp_bb.basis and all(d % fp.p for d in bb.ms.denominators)
+
+    def mod_p(q):
+        return Polynomial(fp, q.nvars, {m: fp.from_fraction(c) for m, c in q.terms.items()})
+
+    rng = seeded(71)
+    for _ in range(6):
+        p = _fractional_query(rng, bb, _query_degree(bb, polys))
+        assert mod_p(_assert_qq_levels_match(bb, p)) == projector.project(mod_p(p))
+
+
+@pytest.mark.parametrize("seed", [5, 9])  # dimensions 4, 8
+def test_qq_normal_form_matches_the_oracle_on_regular_systems(seed):
+    # the oracle's elimination over Fractions up to degree 4; deeper queries
+    # against the per-monomial path
+    bb, polys = _regular(seed, "qq")
+    assert bb.ms.numerators is not None
+    projector = OracleProjector(bb, 4)
+    rng = seeded(300 + seed)
+    for _ in range(6):
+        p = _fractional_query(rng, bb, 4)
+        assert _assert_qq_levels_match(bb, p) == projector.project(p)
+    for _ in range(4):
+        _assert_qq_levels_match(bb, _fractional_query(rng, bb, _query_degree(bb, polys)))
+
+
+def test_qq_normal_form_edge_cases(qq):
+    bb = compute_border_basis(gen_katsura(qq, 3), parse_choice("mac"))
+    f, n, ms = bb.field, bb.nvars, bb.ms
+    assert normal_form(Polynomial.zero(f, n), ms, bb).is_zero()
+    inside = Polynomial(f, n, {b: Fraction(k + 1, 3) for k, b in enumerate(bb.basis)})
+    assert normal_form(inside, ms, bb) == inside
+    # terms in B and outside it whose sum cancels in some coordinates
+    member = bb.rules[min(bb.rules, key=mono_key)].poly().scale(Fraction(-5, 7))
+    assert normal_form(member, ms, bb).is_zero()
+    p = member.add(inside)
+    assert _assert_qq_levels_match(bb, p) == inside
 
 
 def test_matrix_json_round(qq, mac):

@@ -105,6 +105,21 @@ def test_generators_equal_their_lift_definition(name):
         assert _in_order(r.coeffs) == _in_order(_nested(vec, bb))
 
 
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_generated_relations_hold_no_zero_coefficient(name):
+    # SyzygyRelation stores its coefficients as given: the generators must
+    # build every h_w nonzero, with no zero term in it
+    bb = BASES[name]()
+    f = bb.field
+    rels = generate_syzygies(bb)
+    assert rels
+    for r in rels:
+        assert r.coeffs
+        for h in r.coeffs.values():
+            assert not h.is_zero()
+            assert not any(f.is_zero(c) for c in h.terms.values())
+
+
 def test_mu_basics(qq, mac):
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
     vec = bb.ms.vector_of
