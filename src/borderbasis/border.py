@@ -11,10 +11,13 @@ column and every generator projects to zero.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from .choice import ChoiceFunction, NoChoosableMonomial
-from .fields import FloatField, int64_sums_fit
+from .fields import FloatField, RationalField, int64_sums_fit
 from .poly import (
     Monomial,
     Polynomial,
@@ -98,7 +101,7 @@ def _gamma(cf: ChoiceFunction, p: Polynomial) -> Monomial:
 
 
 class _Universe:
-    """The columns of one loop, B+, and the pivot rule; the two echelons below
+    """The columns of one loop, B+, and the pivot rule; the echelons below
     store the rows.
 
     The columns ``cols`` are B+ sorted by `mono_key`, so a larger index is a
@@ -144,13 +147,18 @@ class _Universe:
 class _Echelon(_Universe):
     """Reduced echelon of monic rows with distinct pivots over B+, one dict
     per row updated by `axpy`; ``shift[i][k]`` is the column of x_i*cols[k]
-    (None outside B+).  Serves every field the int64 kernel does not.
+    (None outside B+).  Serves f64, and the primes and loops the int64
+    kernel does not; over qq it is the reference of `_RationalEchelon`.
     """
 
     def __init__(self, B, cf: ChoiceFunction, field, n: int):
         super().__init__(B, cf, field, n)
         self.shift = [[self.col.get(mono_mul(m, mono_var(n, i))) for m in self.cols] for i in range(n)]
-        self.elements = []
+        self.rows = []  # the elements, in insertion order
+
+    @property
+    def elements(self):
+        return self.rows
 
     def multiples(self, row: dict):
         """The rows x_i*row that stay inside B+ (x_i has coefficient one)."""
@@ -166,7 +174,7 @@ class _Echelon(_Universe):
             hit = max((k for k in row if k in self.pivot_of), default=None)
             if hit is None:
                 return row
-            axpy(f, row, f.normalize(-row[hit]), self.elements[self.pivot_of[hit]])
+            axpy(f, row, f.normalize(-row[hit]), self.rows[self.pivot_of[hit]])
 
     def insert(self, row: dict):
         """Reduce a row and add it; returns the inserted element or None."""
@@ -176,12 +184,12 @@ class _Echelon(_Universe):
             return None
         pivot = self._select_pivot(row)
         row = axpy(f, {}, f.inv(row[pivot]), row)
-        idx = len(self.elements)
+        idx = len(self.rows)
         # back-reduce on copies: the caller's frontier keeps the rows as inserted
-        for k, e in enumerate(self.elements):
+        for k, e in enumerate(self.rows):
             if pivot in e:
-                self.elements[k] = axpy(f, dict(e), f.normalize(-e[pivot]), row)
-        self.elements.append(row)
+                self.rows[k] = axpy(f, dict(e), f.normalize(-e[pivot]), row)
+        self.rows.append(row)
         self.pivot_of[pivot] = idx
         return row
 
@@ -206,6 +214,91 @@ class _Echelon(_Universe):
         frontier = self.insert_batch([r for r in map(self.row, pool) if r is not None])
         while frontier:
             frontier = self.insert_batch([q for e in frontier for q in self.multiples(e)])
+        return self.elements
+
+
+def _primitive(row: dict):
+    """A row of Fractions as (R, s) with row = s*R: R the integer row over
+    the lcm of the denominators, divided by its content."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    R, c = _combine(1, {k: v.numerator * (den // v.denominator) for k, v in row.items()}, ())
+    return R, Fraction(c, den)
+
+
+def _combine(a: int, R: dict, pairs):
+    """(a*R - the sum of b*E over the pairs (b, E)) / c and its content c:
+    a new row without zero entries, R's keys first, then the pairs' new ones."""
+    out = {k: a * v for k, v in R.items()} if a != 1 else dict(R)
+    for b, E in pairs:
+        for k, v in E.items():
+            w = out.get(k, 0) - b * v
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+    c = math.gcd(*out.values())
+    if c > 1:
+        out = {k: v // c for k, v in out.items()}
+    return out, c
+
+
+class _RationalEchelon(_Echelon):
+    """`_Echelon` over qq on sparse primitive integer rows (fraction-free
+    elimination, after Bareiss 1968): a row R is ``{column: int}`` divided by
+    its content, and the pair (R, s), s a Fraction, stands for the row s*R.
+
+    The elements stay fully back-reduced, so none holds another's pivot
+    column, and reducing R removes exactly the pivot columns k it holds, in
+    one combination: with E_k the element of pivot k and a the lcm of the
+    E_k[k]/gcd(E_k[k], R[k]), R becomes a*R - sum of (a*R[k]/E_k[k])*E_k
+    over its content c, and s becomes s*c/a.  Back-reducing an element E at
+    the new row's pivot q is the step (R[q]*E - E[q]*R)/g, g = gcd(R[q],
+    E[q]), over its content.  The reduced row of a span is unique, so the
+    pivots, the elements (``rows``; each stands for E/E[pivot]) and the
+    returned monic rows are the dict echelon's, entry for entry.  Only a
+    choice that reads coefficients (cf.key is None) needs s, to see a row's
+    true values.
+    """
+
+    @property
+    def elements(self):
+        return [{k: Fraction(v, E[p]) for k, v in E.items()} for p, E in zip(self.pivot_of, self.rows)]
+
+    def reduce(self, R: dict, s):
+        """(R, s) with every pivot column of R eliminated."""
+        hits = [(k, self.rows[self.pivot_of[k]]) for k in R if k in self.pivot_of]
+        a = math.lcm(*(E[k] // math.gcd(E[k], R[k]) for k, E in hits))
+        R, c = _combine(a, R, [(a * R[k] // E[k], E) for k, E in hits])
+        return R, s * Fraction(c, a)
+
+    def insert(self, R: dict, s):
+        """Reduce (R, s) and add it; returns the inserted (R, 1/R[pivot]),
+        which stands for the monic row, or None."""
+        R, s = self.reduce(R, s)
+        if not R:
+            return None
+        pivot = self._select_pivot(R if self.cf.key is not None else {k: s * v for k, v in R.items()})
+        d = R[pivot]
+        for j, E in enumerate(self.rows):
+            c = E.get(pivot)
+            if c is not None:
+                g = math.gcd(d, c)
+                self.rows[j] = _combine(d // g, E, [(c // g, R)])[0]
+        self.pivot_of[pivot] = len(self.rows)
+        self.rows.append(R)
+        return R, Fraction(1, d)
+
+    def _insert_all(self, pairs):
+        return [q for q in (self.insert(R, s) for R, s in pairs) if q is not None]
+
+    def insert_batch(self, rows):
+        """Insert Fraction rows in order; returns the monic rows inserted."""
+        return [{k: s * v for k, v in R.items()} for R, s in self._insert_all(map(_primitive, rows))]
+
+    def saturate(self, pool):
+        frontier = self._insert_all([_primitive(r) for r in map(self.row, pool) if r is not None])
+        while frontier:
+            frontier = self._insert_all([(q, s) for R, s in frontier for q in self.multiples(R)])
         return self.elements
 
 
@@ -439,7 +532,12 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
     for loops in range(1, loop_limit + 1):
         # |B+| <= (n+1)|B| bounds the pivots an int64 sum adds up
         size = (n + 1) * len(B)
-        kernel = _ModpEchelon if size >= _KERNEL_MIN_SIZE and int64_sums_fit(field, size) else _Echelon
+        if isinstance(field, RationalField):
+            kernel = _RationalEchelon
+        elif size >= _KERNEL_MIN_SIZE and int64_sums_fit(field, size):
+            kernel = _ModpEchelon
+        else:
+            kernel = _Echelon
         ech = kernel(B, cf, field, n)
         rows = ech.saturate(pool)
         elements = [ech.poly(e) for e in rows]

@@ -2,9 +2,10 @@
 suite.
 
 The oracles here deliberately avoid the library's reduction machinery:
-projection and syzygy kernels are recomputed by dense Gaussian elimination so
-agreement is meaningful.  The rule-based projection `reduce_by_rules` and the
-other references below have no caller in the library.
+projection and syzygy kernels are recomputed by Gaussian elimination of their
+own (dense, and over qq on sparse integer rows) so agreement is meaningful.
+The rule-based projection `reduce_by_rules` and the other references below
+have no caller in the library.
 """
 
 import random
@@ -163,12 +164,16 @@ def rule_residual(roots, bb):
 
 # ---------------------------------------------------------------------------
 # dense linear algebra over an arbitrary field (oracle machinery); prime
-# fields get a vectorized numpy path so the acceptance volumes stay fast
+# fields get a vectorized numpy path so the acceptance volumes stay fast, and
+# qq sparse integer rows, so Katsura 3 stays within seconds
 
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
-from borderbasis.fields import PrimeField
+from borderbasis.fields import PrimeField, RationalField
 
 
 def rref_fp(a, p):
@@ -242,6 +247,43 @@ def nullspace(rows, field, ncols):
     return basis
 
 
+def _cancel(r, e, c):
+    """The integer row e[c]*r - r[c]*e over gcd(e[c], r[c]), which is zero
+    at column c, divided by its content, and the factor e[c]/gcd applied
+    to r."""
+    g = math.gcd(e[c], r[c])
+    a, b = e[c] // g, r[c] // g
+    out = {k: a * v for k, v in r.items()}
+    for k, v in e.items():
+        out[k] = out.get(k, 0) - b * v
+    out = {k: v for k, v in out.items() if v}
+    content = math.gcd(*out.values()) or 1
+    return {k: v // content for k, v in out.items()}, Fraction(a, content)
+
+
+def _integer_row(terms, col):
+    """(row, den): the coefficients over the lcm den of their denominators,
+    as ints keyed by column."""
+    den = math.lcm(1, *(c.denominator for c in terms.values()))
+    return {col[m]: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def echelon_integer(rows):
+    """Row echelon of sparse integer rows ``{column: int}``, fraction-free:
+    returns {pivot: row}, each row primitive with its lowest column as its
+    pivot, which no other kept row shares."""
+    by_pivot = {}
+    for r in rows:
+        while r:
+            c = min(r)
+            if c not in by_pivot:
+                g = math.gcd(*r.values())
+                by_pivot[c] = {k: v // g for k, v in r.items()}
+                break
+            r, _ = _cancel(r, by_pivot[c], c)
+    return by_pivot
+
+
 class OracleProjector:
     """Projection onto <B> along the span of rule multiples, by elimination.
 
@@ -273,7 +315,8 @@ class OracleProjector:
                 for m, c in q.terms.items():
                     mat[i, self.col[m]] = c
             self.rows, _ = rref_fp(mat, field.p)
-            self.numpy = True
+        elif isinstance(field, RationalField):
+            self.rows = echelon_integer(_integer_row(q.terms, self.col)[0] for q in span)
         else:
             rows = []
             for q in span:
@@ -283,12 +326,21 @@ class OracleProjector:
                 rows.append(row)
             echelonize(rows, field)
             self.rows = rows
-            self.numpy = False
 
     def project(self, p):
         bb = self.bb
         field = bb.field
-        if self.numpy:
+        if isinstance(field, RationalField):
+            # target = scale * the integer row t; the pivots are eliminated
+            # lowest first, so each step adds only columns above its pivot
+            t, den = _integer_row(p.terms, self.col)
+            scale = Fraction(1, den)
+            for c in sorted(self.rows):
+                if c in t and self.order[c] not in bb.basis_set:
+                    t, a = _cancel(t, self.rows[c], c)
+                    scale /= a
+            vals = {j: scale * v for j, v in t.items()}
+        elif isinstance(field, PrimeField):
             target = np.zeros(len(self.order), dtype=np.int64)
             for m, c in p.terms.items():
                 target[self.col[m]] = c

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from borderbasis import (
@@ -13,7 +15,7 @@ from borderbasis import (
     parse_field,
 )
 from borderbasis import border as border_module
-from borderbasis.border import RewritingRule, _Echelon, _ModpEchelon
+from borderbasis.border import RewritingRule, _Echelon, _ModpEchelon, _RationalEchelon
 from borderbasis.fields import int64_sums_fit
 from borderbasis.poly import border, mono_key, monomials_of_degree_at_most
 
@@ -324,22 +326,23 @@ def test_non_order_ideal_bases_are_certified(fp):
 CHOICES = ["drvl", "dlex", "mac", "minsz", "mix:1"]
 
 
-def _random_batch(rng, field, ncols, size):
-    """Seeded rows over ncols columns; every third one a combination of two
-    earlier ones, so some rows reduce to zero."""
+def _random_batch(rng, field, ncols, size, coeff):
+    """Seeded rows over ncols columns with nonzero coefficients coeff(rng);
+    every third one a combination of two earlier ones, so some rows reduce
+    to zero."""
     rows = []
     for t in range(size):
         if t >= 2 and t % 3 == 0:
             a, b = rng.sample(rows, 2)
             row = {}
             for r in (a, b):
-                c = field.from_int(rng.randint(1, field.p - 1))
+                c = coeff(rng)
                 for k, v in r.items():
                     row[k] = field.normalize(row.get(k, 0) + c * v)
             row = {k: v for k, v in row.items() if v}
         else:
             keys = rng.sample(range(ncols), rng.randint(1, ncols))
-            row = {k: field.from_int(rng.randint(1, field.p - 1)) for k in keys}
+            row = {k: coeff(rng) for k in keys}
         if row:
             rows.append(row)
     return rows
@@ -360,7 +363,10 @@ def test_int64_echelon_matches_the_dict_echelon(spec, choice):
         ref, kern = _Echelon(B, cfs[0], field, n), _ModpEchelon(B, cfs[1], field, n)
         assert int64_sums_fit(field, len(kern.cols))
         for _ in range(3):
-            batch = _random_batch(rng, field, len(ref.cols), rng.randint(1, 12))
+            size = rng.randint(1, 12)
+            batch = _random_batch(
+                rng, field, len(ref.cols), size, lambda r: field.from_int(r.randint(1, field.p - 1))
+            )
             returned = kern.insert_batch(batch)
             assert returned == ref.insert_batch([dict(r) for r in batch])
             multiples = [q for e in returned for q in ref.multiples(e)]
@@ -383,6 +389,72 @@ def test_int64_kernel_gives_the_dict_bases(monkeypatch, choice):
         runs.append([compute_border_basis(F, parse_choice(choice)) for F in systems])
     for a, b in zip(*runs):
         assert a.to_json_dict() == b.to_json_dict() and a.loops == b.loops
+
+
+def _fraction(rng):
+    """A nonzero Fraction whose numerator and denominator have up to 12 digits."""
+    num, den = (rng.randint(1, 10 ** rng.randint(0, 12)) for _ in range(2))
+    return Fraction(rng.choice((-1, 1)) * num, den)
+
+
+@pytest.mark.parametrize("choice", CHOICES)
+def test_rational_echelon_matches_the_dict_echelon(choice):
+    # seeded batches with fractional coefficients of varied sizes, then their
+    # x_i-multiples, into both echelons: the same rows back in order, the
+    # same pivots, the same elements and, under mix, the same coin draws;
+    # eps 1e-3 makes every choice read the coefficients' magnitudes
+    field = parse_field("qq")
+    rng = seeded(19)
+    for eps in (0.0, 0.0, 1e-3):
+        n = rng.randint(2, 3)
+        B = set(monomials_of_degree_at_most(n, rng.randint(1, 3)))
+        cfs = parse_choice(choice, eps), parse_choice(choice, eps)
+        ref, kern = _Echelon(B, cfs[0], field, n), _RationalEchelon(B, cfs[1], field, n)
+        for _ in range(3):
+            batch = _random_batch(rng, field, len(ref.cols), rng.randint(1, 12), _fraction)
+            returned = kern.insert_batch(batch)
+            assert returned == ref.insert_batch([dict(r) for r in batch])
+            multiples = [q for e in returned for q in ref.multiples(e)]
+            assert kern.insert_batch(multiples) == ref.insert_batch(multiples)
+        assert list(kern.pivot_of.items()) == list(ref.pivot_of.items())
+        assert kern.elements == ref.elements
+        assert all(type(c) is Fraction for e in kern.elements for c in e.values())
+        assert cfs[0]._rng is None or cfs[0]._rng.getstate() == cfs[1]._rng.getstate()
+
+
+def _qq_systems(rng):
+    """Seeded qq systems: regular ones whose lower terms have fractional
+    coefficients, and dense random ones, which may be inconsistent or not
+    zero-dimensional."""
+    qq = parse_field("qq")
+    for _ in range(6):
+        polys, _ = random_regular_system(rng, qq, rng.randint(2, 3), 3)
+        yield [
+            Polynomial(qq, p.nvars, {m: c if c == 1 else c * _fraction(rng) for m, c in p.terms.items()})
+            for p in polys
+        ]
+    for _ in range(6):
+        n = rng.randint(2, 3)
+        yield [random_poly(rng, qq, n, rng.randint(2, 3)) for _ in range(n + rng.randint(0, 1))]
+
+
+def _outcome(F, choice):
+    try:
+        bb = compute_border_basis(F, parse_choice(choice))
+    except NotZeroDimensionalError as exc:
+        return type(exc), str(exc)
+    return bb.to_json_dict(), bb.loops
+
+
+@pytest.mark.parametrize("choice", CHOICES)
+def test_rational_echelon_gives_the_dict_bases(monkeypatch, choice):
+    # every qq loop on the integer rows, then on the dict rows: identical
+    # bases, rules, loops and errors
+    systems = list(_qq_systems(seeded(23)))
+    fast = [_outcome(F, choice) for F in systems]
+    monkeypatch.setattr(border_module, "_RationalEchelon", _Echelon)
+    assert [_outcome(F, choice) for F in systems] == fast
+    assert any(type(bb) is dict for bb, _ in fast)
 
 
 def test_katsura3_beyond_the_int64_range():

@@ -382,6 +382,18 @@ NON_ORDER_IDEAL = "ring x0 x1 over qq\n-4*x0^2*x1 + 6*x0^3 - 7*x1\n7*x1^2 + 5*x0
             id="katsura3-qq-mix3",
         ),
         pytest.param(
+            "katsura", "qq", "minsz",
+            "f4d46320db8140cd6038f73c96e2b2f4e29d308fafb63d03e38defea540ef81e",
+            "ef04c63b81a6780355dc0c99af9740d3b5e7680d3fa68325f0a94f282969c2d0",
+            id="katsura3-qq-minsz",
+        ),
+        pytest.param(
+            "katsura", "qq", "dlex",
+            "c8a1af6961808fce3de97a2da031c96ffde81c7c63c7065cfc71e4832a7f15f4",
+            "016b3e0644924daf1f544cb724aa4cb2159e76ffe6633438acf2526ad797ca01",
+            id="katsura3-qq-dlex",
+        ),
+        pytest.param(
             "non-order-ideal", None, "drvl",
             "f43e2390194c690646d4a458a3d17eb55d4ce51d6e8b5ce2eecc5ab194d7b28c",
             "2a84a3942805eabbacb481c6b0c248e5e24feadaa53fc97eac9b5725ed55142a",
