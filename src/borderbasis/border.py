@@ -134,12 +134,16 @@ class _Universe:
     def _select_pivot(self, row: dict) -> int:
         """Pivot of a row: a degree-maximal border column when one exists (so
         the element can serve as a rewriting rule), the choice-function pick
-        otherwise.
+        otherwise.  A choice with a sort key (cf.key) picks by it directly:
+        rows hold no zero coefficient, so the key's maximum is gamma's pick.
         """
         d = max(self.size[k] for k in row)
         top_border = [k for k in row if self.border[k] and self.size[k] == d]
         if len(top_border) == 1:
             return top_border[0]
+        key = self.cf.key
+        if key is not None:
+            return max(top_border or row, key=lambda k: key(self.cols[k]))
         pick = self.poly({k: row[k] for k in top_border or row})
         return self.col[_gamma(self.cf, pick)]
 
@@ -149,6 +153,8 @@ class _Echelon(_Universe):
     per row updated by `axpy`; ``shift[i][k]`` is the column of x_i*cols[k]
     (None outside B+).  Serves f64, and the primes and loops the int64
     kernel does not; over qq it is the reference of `_RationalEchelon`.
+    Over f64 `insert_batch` pivots partially and re-picks a pending row's
+    pivot only when an insertion changes the row (every row under mix).
     """
 
     def __init__(self, B, cf: ChoiceFunction, field, n: int):
@@ -196,16 +202,34 @@ class _Echelon(_Universe):
     def insert_batch(self, rows):
         """Insert a batch; float fields pick the maximal-magnitude pivot first
         (partial pivoting), exact fields keep the given deterministic order.
+
+        Each pending float row keeps the magnitude of its picked pivot.  The
+        pending rows are fully reduced, so after an insertion with pivot
+        column q only the rows holding q change: those are reduced again and
+        re-picked, the others keep their pick.  A randomized choice (mix)
+        re-picks every pending row, so it draws its coin as often and in the
+        same order as picking all rows after every insertion.
         """
         if not isinstance(self.field, FloatField):
             return [q for q in map(self.insert, rows) if q is not None]
+        magnitude = self.field.magnitude
+        repick_all = self.cf.randomized
         inserted = []
-        pending = [r for r in map(self.reduce, rows) if r]
+        pending = [(r, magnitude(r[self._select_pivot(r)])) for r in map(self.reduce, rows) if r]
         while pending:
             # pending rows are reduced and nonzero, so each one is inserted
-            mags = [self.field.magnitude(r[self._select_pivot(r)]) for r in pending]
-            inserted.append(self.insert(pending.pop(mags.index(max(mags)))))
-            pending = [r for r in map(self.reduce, pending) if r]
+            mags = [m for _, m in pending]
+            inserted.append(self.insert(pending.pop(mags.index(max(mags)))[0]))
+            q = next(reversed(self.pivot_of))
+            repicked = []
+            for r, m in pending:
+                if repick_all or q in r:
+                    r = self.reduce(r)
+                    if not r:
+                        continue
+                    m = magnitude(r[self._select_pivot(r)])
+                repicked.append((r, m))
+            pending = repicked
         return inserted
 
     def saturate(self, pool):

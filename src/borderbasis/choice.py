@@ -62,6 +62,12 @@ class ChoiceFunction:
         reads coefficients (minsz, mix, or an eps filter)."""
         return _KEYS.get(self.kind) if self.eps == 0 else None
 
+    @property
+    def randomized(self) -> bool:
+        """True when a pick may draw from the seeded PRNG (mix), so picking
+        again on the same polynomial is not a no-op."""
+        return self._rng is not None
+
     def clone(self) -> "ChoiceFunction":
         """Fresh instance with the mix PRNG re-seeded (reproducible runs)."""
         return ChoiceFunction(self.kind, self.seed, self.eps)

@@ -422,6 +422,128 @@ def test_rational_echelon_matches_the_dict_echelon(choice):
         assert cfs[0]._rng is None or cfs[0]._rng.getstate() == cfs[1]._rng.getstate()
 
 
+class _RepickEchelon(_Echelon):
+    """The reference float loop: after every insertion it reduces every
+    pending row and re-picks every row's pivot."""
+
+    def insert_batch(self, rows):
+        inserted = []
+        pending = [r for r in map(self.reduce, rows) if r]
+        while pending:
+            # pending rows are reduced and nonzero, so each one is inserted
+            mags = [self.field.magnitude(r[self._select_pivot(r)]) for r in pending]
+            inserted.append(self.insert(pending.pop(mags.index(max(mags)))))
+            pending = [r for r in map(self.reduce, pending) if r]
+        return inserted
+
+
+def _items(rows):
+    """Rows as lists of (column, coefficient): key order counts."""
+    return [list(r.items()) for r in rows]
+
+
+def _inserted(ech, rows):
+    """The rows ech.insert_batch returns, or the error when the choice's eps
+    filter empties a pending row's support."""
+    try:
+        return _items(ech.insert_batch(rows))
+    except border_module.DegenerateInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("choice", CHOICES)
+def test_float_batch_matches_the_repick_reference(choice):
+    # seeded f64 batches with magnitudes 1e-8..1e8, then their x_i-multiples,
+    # into the echelon and the reference: the same rows back in order and in
+    # key order, the same pivots, the same elements and, under mix, the same
+    # coin draws; under eps 0 a row reduced against the new element alone
+    # keeps rounding residues, so this needs the full reduce
+    rng = seeded(29)
+    for spec in ("f64:0", "f64:1e-10", "f64:1e-3"):
+        field = parse_field(spec)
+
+        def coeff(r):
+            return r.choice((-1.0, 1.0)) * 10.0 ** r.uniform(-8, 8)
+
+        for eps in (0.0, 0.0, 1e-3, 1e-3):
+            n = rng.randint(2, 3)
+            B = set(monomials_of_degree_at_most(n, rng.randint(2, 3)))
+            cfs = parse_choice(choice, eps), parse_choice(choice, eps)
+            ref, ech = _RepickEchelon(B, cfs[0], field, n), _Echelon(B, cfs[1], field, n)
+            for _ in range(3):
+                # as the echelon gets them from polynomials: no zero coefficient
+                batch = _random_batch(rng, field, len(ref.cols), rng.randint(1, 12), coeff)
+                batch = [{k: v for k, v in r.items() if not field.is_zero(v)} for r in batch]
+                batch = [r for r in batch if r]
+                returned = _inserted(ech, [dict(r) for r in batch])
+                assert returned == _inserted(ref, batch)
+                if isinstance(returned, str):
+                    break
+                multiples = [q for e in returned for q in ref.multiples(dict(e))]
+                returned = _inserted(ech, [dict(r) for r in multiples])
+                assert returned == _inserted(ref, multiples)
+                if isinstance(returned, str):
+                    break
+            assert list(ech.pivot_of.items()) == list(ref.pivot_of.items())
+            assert _items(ech.elements) == _items(ref.elements)
+            assert cfs[0]._rng is None or cfs[0]._rng.getstate() == cfs[1]._rng.getstate()
+
+
+def _gamma_pivot(ech, row):
+    """`_select_pivot` through the choice function's gamma on a polynomial."""
+    d = max(ech.size[k] for k in row)
+    top_border = [k for k in row if ech.border[k] and ech.size[k] == d]
+    if len(top_border) == 1:
+        return top_border[0]
+    return ech.col[border_module._gamma(ech.cf, ech.poly({k: row[k] for k in top_border or row}))]
+
+
+@pytest.mark.parametrize("choice", ["drvl", "dlex", "mac"])
+@pytest.mark.parametrize(
+    "kernel, spec",
+    [(_Echelon, "qq"), (_Echelon, "fp:65537"), (_Echelon, "f64:1e-10"), (_RationalEchelon, "qq")],
+)
+def test_key_ordered_pick_is_gammas_pick(kernel, spec, choice):
+    # the pick by cf.key equals gamma's on seeded rows, and a batch inserted
+    # through either pick gets the same pivots
+    field = parse_field(spec)
+    rng = seeded(31)
+    keyed = 0
+    for _ in range(6):
+        n = rng.randint(2, 3)
+        B = set(monomials_of_degree_at_most(n, rng.randint(1, 3)))
+        ech, ref = kernel(B, parse_choice(choice), field, n), kernel(B, parse_choice(choice), field, n)
+        ref._select_pivot = lambda row, ref=ref: _gamma_pivot(ref, row)
+        batch = _random_batch(
+            rng, field, len(ech.cols), rng.randint(1, 12), lambda r: field.from_int(r.randint(1, 99))
+        )
+        for row in batch:
+            assert ech._select_pivot(row) == _gamma_pivot(ech, row)
+            d = max(ech.size[k] for k in row)
+            keyed += sum(ech.border[k] and ech.size[k] == d for k in row) != 1
+        ech.insert_batch([dict(r) for r in batch])
+        ref.insert_batch(batch)
+        assert list(ech.pivot_of.items()) == list(ref.pivot_of.items())
+    assert keyed > 0
+
+
+def test_float_basis_repicks_only_changed_rows(monkeypatch):
+    # Katsura 4 over f64 under mac: re-picking every pending row after each
+    # insertion made 10,175 pivot picks, re-picking only the rows an
+    # insertion changes makes 1,691
+    calls = []
+    select = border_module._Universe._select_pivot
+
+    def counted(self, row):
+        calls.append(None)
+        return select(self, row)
+
+    monkeypatch.setattr(border_module._Universe, "_select_pivot", counted)
+    bb = compute_border_basis(gen_katsura(parse_field("f64:1e-10"), 4), parse_choice("mac"))
+    assert bb.dimension == 16
+    assert len(calls) <= 1700
+
+
 def _qq_systems(rng):
     """Seeded qq systems: regular ones whose lower terms have fractional
     coefficients, and dense random ones, which may be inconsistent or not

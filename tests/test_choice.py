@@ -163,6 +163,10 @@ def test_order_agreement_with_bruteforce():
 def test_parse_choice_strings():
     assert parse_choice("mix:42").seed == 42
     assert parse_choice("mac").kind == "mac"
+    # only mix draws from its PRNG, so only its picks may differ when repeated
+    assert [parse_choice(k, eps=1e-3).randomized for k in ("drvl", "dlex", "mac", "minsz", "mix:1")] == [
+        False, False, False, False, True
+    ]
     with pytest.raises(ValueError):
         parse_choice("mystery")
     for eps in (float("nan"), float("inf"), -1.0):

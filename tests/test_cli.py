@@ -424,26 +424,42 @@ def test_cli_syzygy_reports_are_pinned(
 
 
 @pytest.mark.parametrize(
-    "source, choice, size, basis_sha256",
+    "katsura, choice, size, basis_sha256",
     [
         pytest.param(
-            "katsura", "mix:5", 8,
+            3, "mix:5", 8,
             "9f65e9f341c834971e30435e661e1b39db2859c80483ebe25565b1112a8c28bc",
             id="katsura3-f64-mix5",
         ),
         pytest.param(
-            "non-order-ideal", "mix:1", 6,
+            None, "mix:1", 6,
             "f57205649ab9b16c57fd81875cdb2d26513528a6de84fd76bad43c329b440af9",
             id="non-order-ideal-f64-mix1",
         ),
+        pytest.param(
+            4, "mac", 16,
+            "6414e90b5f50a7ddaa31eed03672103c53317f7c0d8c3013027dfca122adfacc",
+            id="katsura4-f64-mac",
+        ),
+        pytest.param(
+            4, "drvl", 16,
+            "d224c45ffc3380b5629c4bd72090db9117d9a4b16dcbf62bdcb5c0e48f6fed87",
+            id="katsura4-f64-drvl",
+        ),
+        pytest.param(
+            4, "minsz", 16,
+            "3e02f3d1a7ea15cd216caa7dba1068d48b2eb8b7854704c258bf5b1d90f8d397",
+            id="katsura4-f64-minsz",
+        ),
     ],
 )
-def test_cli_float_pivoting_is_pinned(capsys, tmp_path, source, choice, size, basis_sha256):
-    # partial pivoting evaluates the choice function on every pending row, so
-    # mix's coin order shows in the basis and the rules
+def test_cli_float_pivoting_is_pinned(capsys, tmp_path, katsura, choice, size, basis_sha256):
+    # partial pivoting inserts the pending row of largest pivot magnitude
+    # first, so the pivot order shows in the basis and the rules, and under
+    # mix so does the coin order
     flags = ["--field", "f64:1e-10", "--choice", choice, "--json"]
-    if source == "katsura":
-        argv = ["katsura", "-n", "3", *flags, "basis"]
+    if katsura is not None:
+        argv = ["katsura", "-n", str(katsura), *flags, "basis"]
     else:
         path = tmp_path / "sys.txt"
         path.write_text(NON_ORDER_IDEAL)
