@@ -487,7 +487,7 @@ class BorderBasis:
     certificate, the projection and the syzygies all read it).
 
     Raises NotABorderBasisError when some x_i*b has neither a place in B nor
-    a rule.
+    a rule, or its rule's tail leaves B.
     """
 
     def __init__(self, B, rules: dict, loops: int, field, nvars: int):

@@ -165,9 +165,9 @@ class PrimeField(Field):
 
 def int64_sums_fit(field: Field, terms: int) -> bool:
     """True when ``field`` is a prime field whose sums of ``terms`` products of
-    two residues fit int64: terms*(p-1)^2 < 2^63.  The echelon, the
-    commutation check and the normal form run on int64 arrays mod p only
-    then."""
+    two residues fit int64: terms*(p-1)^2 < 2^63.  The echelon runs on int64
+    arrays mod p only then; the commutation check and the normal form run
+    on int64 arrays then, and on object arrays of Python ints otherwise."""
     return isinstance(field, PrimeField) and terms * (field.p - 1) ** 2 < 2**63
 
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fields import FloatField, NumericError, RationalField, int64_sums_fit
+from .fields import NumericError, PrimeField, RationalField, int64_sums_fit
 from .poly import (
     Monomial,
     Polynomial,
@@ -40,14 +40,14 @@ class MultiplicationSystem:
     coordinate vector of the reduction of x_i * B[j].  ``apply`` walks their
     nonzero entries and normalizes each coordinate once (``Field.normalize``).
 
-    Over a prime field whose sums of D products fit int64
-    (`int64_sums_fit`), ``residues`` holds the same matrices once more as one
-    int64 array mod p of shape (n, D, D), with ``residues[i][j]`` the column j
-    of M_i.  Over ``qq``, ``numerators`` holds them as one numpy object array
-    of Python ints of the same shape, ``numerators[i][j]`` the column j of
-    d_i * M_i, with d_i = ``denominators[i]`` the lcm of the denominators in
-    M_i.  `commutators` and `normal_form` multiply whichever array is set;
-    an attribute that does not belong to the field is None.
+    On an exact field ``array`` holds the same matrices once more as one
+    integer array of shape (n, D, D), the route of `commutators` and
+    `normal_form`.  Over Z/p ``array[i][j]`` is the column j of M_i mod p:
+    int64 when sums of D products of residues fit (`int64_sums_fit`), a
+    numpy object array of Python ints otherwise.  Over ``qq`` it is the
+    column j of d_i * M_i, with d_i = ``denominators[i]`` the lcm of the
+    denominators in M_i.  Over f64 ``array`` is None, and so is
+    ``denominators`` on every field but ``qq``.
 
     ``outside[i]`` lists, in basis order, the pairs (k, x_i*B[k]) for each
     basis position k whose x_i-multiple leaves B: the border shifts that
@@ -67,12 +67,13 @@ class MultiplicationSystem:
         for i in range(nvars):
             shifts = ((k, mono_mul(b, mono_var(nvars, i))) for k, b in enumerate(self.basis))
             self.outside.append([(k, w) for k, w in shifts if w not in self.index])
-        self.residues = self.numerators = self.denominators = None
-        if int64_sums_fit(field, len(self.basis)):
-            self.residues = np.array(matrices, dtype=np.int64) % field.p
+        self.array = self.denominators = None
+        if isinstance(field, PrimeField):
+            dtype = np.int64 if int64_sums_fit(field, len(self.basis)) else object
+            self.array = np.array(matrices, dtype=dtype) % field.p
         elif isinstance(field, RationalField):
             self.denominators = [math.lcm(*(c.denominator for col in m for c in col)) for m in matrices]
-            self.numerators = np.array(
+            self.array = np.array(
                 [
                     [[c.numerator * (d // c.denominator) for c in col] for col in m]
                     for m, d in zip(matrices, self.denominators)
@@ -141,65 +142,50 @@ def build_mult_system(bb: BorderBasis) -> MultiplicationSystem:
                 rule = bb.rules.get(m)
                 if rule is None:
                     raise NotABorderBasisError(
-                        f"missing rule for border monomial; not a border basis"
+                        f"missing rule for border monomial {format_monomial(m)}; not a border basis"
                     )
                 for t, c in rule.tail.terms.items():
+                    if t not in index:
+                        raise NotABorderBasisError(
+                            f"rule of {format_monomial(m)} has tail term {format_monomial(t)} outside B;"
+                            " not a border basis"
+                        )
                     col[index[t]] = c
             cols.append(col)
         matrices.append(cols)
     return MultiplicationSystem(basis, matrices, f, n)
 
 
-def _integer_matrices(ms: MultiplicationSystem):
-    """The integer array the exact paths multiply, as (a, d, mod): over Q
-    row j of a[i] is the column j of d[i] * M_i and mod is None, since the
-    products are exact; over Z/p row j of a[i] is the column j of M_i, d is
-    None and mod is the p each product is reduced by.  None when ``ms`` holds
-    no such array (f64, and primes beyond `int64_sums_fit`)."""
-    if ms.residues is not None:
-        return ms.residues, None, ms.field.p
-    if ms.numerators is not None:
-        return ms.numerators, ms.denominators, None
-    return None
-
-
 def commutators(ms: MultiplicationSystem):
     """The nonzero columns of M_i M_j - M_j M_i, as (i, j, column index,
     column), over the `neighbours` columns in their order.
 
-    Exact fields compare exactly.  When ``ms`` holds an integer array (the
-    int64 ``residues`` mod p, or the ``numerators`` over Q) each difference is
-    formed once per pair as A_j A_i - A_i A_j = d_i d_j (M_i M_j - M_j M_i)^T,
-    reduced mod p, and zero-tested on integers; a nonzero column is yielded
-    as ints mod p, or as Fractions over d_i d_j, the values the column by
-    column path gives.  Other fields apply the matrices column by column.
-    The float field uses an entrywise tolerance max(eps, 1e-10 * |M_i| *
-    |M_j|) so badly scaled systems do not fail spuriously.
+    Exact fields compare exactly on ``ms.array`` (`_commutators_on_integers`).
+    Over f64 the matrices are applied column by column, with an entrywise
+    tolerance max(eps, 1e-10 * |M_i| * |M_j|) so badly scaled systems do not
+    fail spuriously.
     """
-    f = ms.field
-    arrays = _integer_matrices(ms)
-    if arrays is not None:
-        yield from _commutators_on_integers(ms, *arrays)
+    if ms.array is not None:
+        yield from _commutators_on_integers(ms)
         return
-    if isinstance(f, FloatField):
-        norms = [max((f.magnitude(c) for col in m for c in col), default=0.0) for m in ms.matrices]
+    f = ms.field
+    norms = [max((f.magnitude(c) for col in m for c in col), default=0.0) for m in ms.matrices]
     for k, i, j in neighbours(ms.basis, ms.index):
         a = ms.apply(i, ms.matrices[j][k])
         b = ms.apply(j, ms.matrices[i][k])
         diff = [f.normalize(x - y) for x, y in zip(a, b)]
-        if isinstance(f, FloatField):
-            tol = max(f.eps, 1e-10 * norms[i] * norms[j])
-            nonzero = any(f.magnitude(c) > tol for c in diff)
-        else:
-            nonzero = not all(f.is_zero(c) for c in diff)
-        if nonzero:
+        tol = max(f.eps, 1e-10 * norms[i] * norms[j])
+        if any(f.magnitude(c) > tol for c in diff):
             yield i, j, k, diff
 
 
-def _commutators_on_integers(ms: MultiplicationSystem, a, d, mod):
-    """`commutators` on an integer array (`_integer_matrices`), one product
-    per pair."""
-    n = ms.nvars
+def _commutators_on_integers(ms: MultiplicationSystem):
+    """`commutators` on ``ms.array``, one product per pair: each difference
+    is formed as A_j A_i - A_i A_j = d_i d_j (M_i M_j - M_j M_i)^T, reduced
+    mod p, and zero-tested on integers; a nonzero column is yielded as ints
+    mod p, or as Fractions over d_i d_j."""
+    n, a, d = ms.nvars, ms.array, ms.denominators
+    mod = ms.field.p if d is None else None
     # a[i] holds the columns of d_i M_i as rows, so a[j] @ a[i] is d_i d_j (M_i M_j)^T
     diffs = {}
     for i in range(n):
@@ -232,18 +218,14 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
     so the variable order is irrelevant.  The coordinates are memoized for
     this call only, so a query costs the same whatever was asked before.
 
-    When ``ms`` holds an integer array (`_integer_matrices`) the coordinates
-    are computed level by level on it (`_normal_form_on_integers`): over Q
-    always, over Z/p when the sums of the terms of p outside B fit int64
-    too.  Otherwise they are computed one monomial at a time with
-    `MultiplicationSystem.apply`.  Both give the same values.
+    On an exact field the coordinates are computed level by level on
+    ``ms.array`` (`_normal_form_on_integers`).  Over f64 they are computed
+    one monomial at a time with `MultiplicationSystem.apply`; so are they
+    on an exact field whose ``array`` is cleared, with the same values.
     """
+    if ms.array is not None:
+        return _normal_form_on_integers(p, ms)
     f = ms.field
-    arrays = _integer_matrices(ms)
-    if arrays is not None:
-        outside = [m for m in p.terms if m not in ms.index]
-        if ms.residues is None or int64_sums_fit(f, len(outside)):
-            return _normal_form_on_integers(p, outside, ms, *arrays)
     memo: dict[Monomial, list] = {}
 
     def vec_of_monomial(m: Monomial):
@@ -266,9 +248,8 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
     return ms.poly_of([f.normalize(x) for x in acc])
 
 
-def _normal_form_on_integers(p: Polynomial, outside: list, ms: MultiplicationSystem, a, d, mod):
-    """`normal_form` on an integer array (`_integer_matrices`), for the terms
-    ``outside`` B.
+def _normal_form_on_integers(p: Polynomial, ms: MultiplicationSystem):
+    """`normal_form` on ``ms.array``.
 
     Each monomial needed is x_i times its parent, the monomial with its
     leftmost variable x_i peeled off, at depth one more than the parent's
@@ -278,10 +259,13 @@ def _normal_form_on_integers(p: Polynomial, outside: list, ms: MultiplicationSys
     stands over its own denominator, the product of the d_i along its
     peels.  A parent shared by several monomials gets one row.  The answer
     is p's coefficients times the rows of its terms outside B, plus its
-    terms in B: mod p over Z/p; over Q as integers over one common
+    terms in B: mod p over Z/p, on Python ints when the sums of that many
+    products would not fit int64; over Q as integers over one common
     denominator, each coordinate made a Fraction once.
     """
-    index = ms.index
+    index, a, d = ms.index, ms.array, ms.denominators
+    mod = ms.field.p if d is None else None
+    outside = [m for m in p.terms if m not in index]
     row: dict[Monomial, int] = {}
     depth_of: list[int] = []  # by row
     groups: dict[tuple, tuple] = {}  # (depth, i) -> (rows, their parents' columns or rows)
@@ -325,7 +309,8 @@ def _normal_form_on_integers(p: Polynomial, outside: list, ms: MultiplicationSys
     vec = [0] * ms.dimension
     if mod is not None:
         if terms:
-            coeffs = np.array([p.terms[m] % mod for m in outside], dtype=np.int64)
+            dtype = np.int64 if int64_sums_fit(ms.field, len(outside)) else object
+            coeffs = np.array([p.terms[m] % mod for m in outside], dtype=dtype)
             vec = (coeffs @ C[terms] % mod).tolist()
         for m, c in p.terms.items():
             j = index.get(m)

@@ -468,8 +468,9 @@ def non_commuting_basis(field):
 
 def reference_commutators(ms):
     """`commutators` over an exact field, column by column through
-    `MultiplicationSystem.apply`: the reference for the products on the
-    integer arrays (int64 mod p, and the numerators over qq)."""
+    `MultiplicationSystem.apply`: the reference for the products on
+    ``ms.array`` (int64 or Python ints mod p, and the numerators over qq),
+    which is the only route `commutators` takes on an exact field."""
     f = ms.field
     out = []
     for k, i, j in neighbours(ms.basis, ms.index):

@@ -364,6 +364,12 @@ NON_ORDER_IDEAL = "ring x0 x1 over qq\n-4*x0^2*x1 + 6*x0^3 - 7*x1\n7*x1^2 + 5*x0
             id="katsura3-fp101-minsz",
         ),
         pytest.param(
+            "katsura", "fp:2147483647", "mac",
+            "add901ae86a4f2db83b30386c0ebf61dab57de6d7e79eb8f943d7a9b94895098",
+            "121a7773ba96965e4fa28e6ddb6d24121df02361371520714984094f3fd3a5b3",
+            id="katsura3-fp2147483647-mac",
+        ),
+        pytest.param(
             "katsura", "f64:1e-10", "mac",
             "4e06766957923aa6b63ddc02d0d457c63408f292e06a8cebe7f5bf6f45766257",
             "66dfc7455421cb43120ab861032fcf2ba1994868de67d3783f80a1a5d34fdcd8",
@@ -470,9 +476,9 @@ def test_cli_float_pivoting_is_pinned(capsys, tmp_path, katsura, choice, size, b
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == basis_sha256
 
 
-def test_cli_qq_normal_forms_are_pinned(capsys, tmp_path):
-    # three non-members of degree 5 and 6 with fractional coefficients: every
-    # coordinate of the qq normal form, byte for byte
+def _katsura3_normal_forms(capsys, tmp_path, *flags):
+    """The ``normalform --json`` report of Katsura 3 for three non-members of
+    degree 5 and 6 with fractional coefficients."""
     code, text = run(capsys, ["katsura", "-n", "3", "print"])
     assert code == 0
     path = tmp_path / "k3.txt"
@@ -482,11 +488,26 @@ def test_cli_qq_normal_forms_are_pinned(capsys, tmp_path):
         "-5/11*u3^6 + 3/4*u0*u1*u2*u3^2 - 1/2",
         "7/9*u0^2*u1^3 - 4/13*u2^5*u3 + 1/6*u1",
     ]
-    code, out = run(capsys, ["normalform", "--json", *(a for q in queries for a in ("-p", q)), str(path)])
+    code, out = run(capsys, ["normalform", *flags, "--json", *(a for q in queries for a in ("-p", q)), str(path)])
     assert code == 0
     assert all(r["normal_form"] != "0" for r in json.loads(out)["normal_forms"])
+    return out
+
+
+def test_cli_qq_normal_forms_are_pinned(capsys, tmp_path):
+    # every coordinate of the qq normal form, byte for byte
+    out = _katsura3_normal_forms(capsys, tmp_path)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "4523bac95660ed6cafd98550e0cfbcf671dd66adc10c502f673bbd1a4ad41a88"
+    )
+
+
+def test_cli_normal_forms_beyond_int64_are_pinned(capsys, tmp_path):
+    # over 2^61 - 1 one product of two residues leaves int64, so the
+    # matrices are an object array of Python ints
+    out = _katsura3_normal_forms(capsys, tmp_path, "--field", "fp:2305843009213693951")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5492717228afdd9d399e9edf8cc80da17262ca6297c9525d355f6d80693f13ea"
     )
 
 

@@ -67,8 +67,17 @@ def test_missing_rule_rejected(qq, mac):
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
     broken = BorderBasis(bb.basis, dict(bb.rules), bb.loops, qq, 2)
     del broken.rules[(2, 1)]
-    with pytest.raises(NotABorderBasisError):
+    with pytest.raises(NotABorderBasisError, match=r"x0\^2\*x1;"):
         build_mult_system(broken)
+
+
+def test_rule_tail_outside_the_basis_rejected(qq, mac):
+    # x0^3 has no coordinate in B: the same error as a missing rule, naming it
+    bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
+    rules = dict(bb.rules)
+    rules[(2, 0)] = RewritingRule((2, 0), poly_of("x0^3", qq))
+    with pytest.raises(NotABorderBasisError, match=r"x0\^3 outside"):
+        BorderBasis(bb.basis, rules, bb.loops, qq, 2)
 
 
 def test_printed_family_fails_commutation(qq, mac):
@@ -95,12 +104,22 @@ def _katsura3_with_a_wrong_tail(field):
     return BorderBasis(bb.basis, rules, bb.loops, field, bb.nvars)
 
 
+@pytest.mark.parametrize(
+    "spec, dtype",
+    [
+        pytest.param("fp:1000003", np.int64, id="fp:1000003"),
+        pytest.param("fp:2147483647", object, id="fp:2147483647"),
+        pytest.param("fp:2305843009213693951", object, id="fp:2305843009213693951"),
+    ],
+)
 @pytest.mark.parametrize("build", [non_commuting_basis, _katsura3_with_a_wrong_tail])
-def test_int64_commutators_match_the_reference(fp, build):
-    # one wrong rule tail: the int64 products mod p must yield the columns
-    # the column-by-column path yields, in its order, as Python ints
-    bb = build(fp)
-    assert int64_sums_fit(fp, bb.dimension)
+def test_int64_commutators_match_the_reference(build, spec, dtype):
+    # one wrong rule tail: the products on ms.array mod p, int64 or, where
+    # sums of D products leave int64 (D = 4 and 8 here), Python ints, must
+    # yield the columns the column-by-column reference yields, in its order,
+    # as Python ints
+    bb = build(parse_field(spec))
+    assert bb.ms.array.dtype == dtype
     found = list(commutators(bb.ms))
     assert found and found == reference_commutators(bb.ms)
     assert all(type(c) is int for *_, col in found for c in col)
@@ -216,36 +235,38 @@ def test_normal_form_history_independent(request, mac, field_name):
             assert nf == oracle_normal_form(p, bb)
 
 
-@pytest.mark.parametrize("spec", ["fp:1000003", "fp:2147483647", "qq", "f64:1e-10"])
-def test_residues_are_the_matrices_mod_p(spec):
-    # row j of residues[i] is column j of M_i, only where D-term sums fit int64
+@pytest.mark.parametrize(
+    "spec, dtype",
+    [
+        pytest.param("fp:1000003", np.int64, id="fp:1000003"),
+        pytest.param("fp:2147483647", object, id="fp:2147483647"),
+        pytest.param("fp:2305843009213693951", object, id="fp:2305843009213693951"),
+        pytest.param("qq", object, id="qq"),
+        pytest.param("f64:1e-10", None, id="f64:1e-10"),
+    ],
+)
+def test_array_holds_the_matrices(spec, dtype):
+    # row j of array[i] is column j of M_i: mod p, as int64 only where sums
+    # of D = 8 products fit int64; over qq times denominators[i], the lcm of
+    # the denominators in M_i; no array on f64
     field = parse_field(spec)
     ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
-    if not int64_sums_fit(field, ms.dimension):
-        assert ms.residues is None
+    if dtype is None:
+        assert ms.array is None and ms.denominators is None
         return
-    assert ms.residues.dtype == np.int64
-    assert ms.residues.tolist() == [[[c % field.p for c in col] for col in m] for m in ms.matrices]
-
-
-@pytest.mark.parametrize("spec", ["qq", "fp:1000003", "fp:2147483647", "f64:1e-10"])
-def test_numerators_are_the_matrices_over_one_denominator(spec):
-    # row j of numerators[i] over denominators[i] (the lcm of the
-    # denominators in M_i) is column j of M_i, on qq only
-    field = parse_field(spec)
-    ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
-    if not isinstance(field, RationalField):
-        assert ms.numerators is None and ms.denominators is None
-        return
-    assert ms.residues is None
     D = ms.dimension
-    assert ms.numerators.dtype == object and ms.numerators.shape == (ms.nvars, D, D)
+    assert ms.array.dtype == dtype and ms.array.shape == (ms.nvars, D, D)
+    if dtype is object:
+        assert all(type(a) is int for a in ms.array.flat)
+    if not isinstance(field, RationalField):
+        assert ms.denominators is None
+        assert ms.array.tolist() == [[[c % field.p for c in col] for col in m] for m in ms.matrices]
+        return
     for i, d in enumerate(ms.denominators):
         assert d == math.lcm(*(c.denominator for col in ms.matrices[i] for c in col))
         for j in range(D):
             for k in range(D):
-                a = ms.numerators[i][j][k]
-                assert type(a) is int and Fraction(a, d) == ms.matrices[i][j][k]
+                assert Fraction(ms.array[i][j][k], d) == ms.matrices[i][j][k]
 
 
 @pytest.mark.parametrize("choice", ["mac", "drvl"])
@@ -264,7 +285,7 @@ def _per_monomial(bb):
     """A copy of bb.ms without its integer array: `normal_form` then takes the
     per-monomial path, the reference for the levels on the array."""
     ms = build_mult_system(bb)
-    ms.residues = ms.numerators = None
+    ms.array = None
     return ms
 
 
@@ -297,14 +318,14 @@ def _assert_int64_levels_match(bb, polys, projector, rng, count):
 
 def test_int64_normal_form_matches_the_oracle_on_katsura3(katsura3_fp):
     bb, polys, projector = katsura3_fp
-    assert bb.ms.residues is not None
+    assert bb.ms.array.dtype == np.int64
     _assert_int64_levels_match(bb, polys, projector, seeded(61), 6)
 
 
 @pytest.mark.parametrize("seed", [5, 6, 9, 11])  # dimensions 4, 4, 8, 8
 def test_int64_normal_form_matches_the_oracle_on_regular_systems(seed):
     bb, polys = _regular(seed, "fp:65537")
-    assert bb.ms.residues is not None
+    assert bb.ms.array.dtype == np.int64
     projector = OracleProjector(bb, _query_degree(bb, polys))
     _assert_int64_levels_match(bb, polys, projector, seeded(100 + seed), 6)
 
@@ -315,7 +336,7 @@ def test_int64_normal_form_matches_the_per_monomial_path_on_katsura4():
     # reference
     polys = gen_katsura(parse_field("fp:1000003"), 4)
     bb = compute_border_basis(polys, parse_choice("mac"))
-    assert bb.ms.residues is not None
+    assert bb.ms.array.dtype == np.int64
     rng = seeded(67)
     for _ in range(4):
         p = random_poly(rng, bb.field, bb.nvars, _query_degree(bb, polys), density=0.3)
@@ -323,19 +344,20 @@ def test_int64_normal_form_matches_the_per_monomial_path_on_katsura4():
 
 
 @pytest.mark.parametrize("seed", [1, 9, 11])  # dimensions 2, 8, 8
-def test_a_prime_outside_the_int64_range_takes_the_per_monomial_path(seed):
+def test_normal_form_beyond_int64_sums_matches_the_oracle(seed):
     # over 2^31 - 1 a sum of three products of residues overflows int64: a
-    # basis of dimension 8 has no int64 array, one of dimension 2 has it but
-    # a query with three or more terms outside B does not use it
+    # basis of dimension 8 holds an object array of Python ints; one of
+    # dimension 2 holds an int64 array, but the final product of a query
+    # with three or more terms outside B runs on Python ints
     bb, polys = _regular(seed, "fp:2147483647")
-    assert (bb.ms.residues is None) == (bb.dimension > 2)
+    assert bb.ms.array.dtype == (object if bb.dimension > 2 else np.int64)
     projector = OracleProjector(bb, _query_degree(bb, polys))
     rng = seeded(200 + seed)
     for _ in range(4):
         p = random_poly(rng, bb.field, bb.nvars, _query_degree(bb, polys), density=0.3)
         assert not int64_sums_fit(bb.field, sum(m not in bb.ms.index for m in p.terms))
         nf = normal_form(p, bb.ms, bb)
-        assert nf == projector.project(p)
+        assert nf == projector.project(p) == normal_form(p, _per_monomial(bb), bb)
         assert all(type(c) is int for c in nf.terms.values())
 
 
@@ -419,7 +441,7 @@ def test_qq_normal_form_matches_the_oracle_on_regular_systems(seed):
     # the oracle's elimination on integer rows up to degree 4; deeper queries
     # against the per-monomial path
     bb, polys = _regular(seed, "qq")
-    assert bb.ms.numerators is not None
+    assert bb.ms.array.dtype == object
     projector = OracleProjector(bb, 4)
     rng = seeded(300 + seed)
     for _ in range(6):
