@@ -17,7 +17,7 @@ from borderbasis import (
     parse_field,
 )
 from borderbasis.border import BorderBasis, RewritingRule
-from borderbasis.fields import RationalField, int64_sums_fit
+from borderbasis.fields import FloatField, RationalField, int64_sums_fit
 from borderbasis.poly import mono_key, mono_mul, mono_var
 from borderbasis.quotient import commutators
 
@@ -236,37 +236,46 @@ def test_normal_form_history_independent(request, mac, field_name):
 
 
 @pytest.mark.parametrize(
-    "spec, dtype",
-    [
-        pytest.param("fp:1000003", np.int64, id="fp:1000003"),
-        pytest.param("fp:2147483647", object, id="fp:2147483647"),
-        pytest.param("fp:2305843009213693951", object, id="fp:2305843009213693951"),
-        pytest.param("qq", object, id="qq"),
-        pytest.param("f64:1e-10", None, id="f64:1e-10"),
-    ],
+    "spec", ["fp:1000003", "fp:2147483647", "fp:2305843009213693951", "qq", "f64:1e-10"]
 )
-def test_array_holds_the_matrices(spec, dtype):
-    # row j of array[i] is column j of M_i: mod p, as int64 only where sums
-    # of D = 8 products fit int64; over qq times denominators[i], the lcm of
-    # the denominators in M_i; no array on f64
+def test_residues_are_the_matrices_mod_p(spec):
+    # over a prime, row j of array[i] is column j of M_i mod p: int64 only
+    # where sums of D products fit int64, Python ints otherwise; over qq the
+    # array holds numerators instead, and on f64 there is no array
     field = parse_field(spec)
     ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
-    if dtype is None:
-        assert ms.array is None and ms.denominators is None
+    if isinstance(field, FloatField):
+        assert ms.array is None
+        return
+    if isinstance(field, RationalField):
+        assert ms.denominators is not None
         return
     D = ms.dimension
-    assert ms.array.dtype == dtype and ms.array.shape == (ms.nvars, D, D)
-    if dtype is object:
-        assert all(type(a) is int for a in ms.array.flat)
+    assert ms.denominators is None and ms.array.shape == (ms.nvars, D, D)
+    if int64_sums_fit(field, D):
+        assert ms.array.dtype == np.int64
+    else:
+        assert ms.array.dtype == object and all(type(a) is int for a in ms.array.flat)
+    assert ms.array.tolist() == [[[c % field.p for c in col] for col in m] for m in ms.matrices]
+
+
+@pytest.mark.parametrize("spec", ["qq", "fp:1000003", "fp:2147483647", "f64:1e-10"])
+def test_numerators_are_the_matrices_over_one_denominator(spec):
+    # row j of array[i] over denominators[i] (the lcm of the denominators
+    # in M_i) is column j of M_i, on qq only
+    field = parse_field(spec)
+    ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
     if not isinstance(field, RationalField):
         assert ms.denominators is None
-        assert ms.array.tolist() == [[[c % field.p for c in col] for col in m] for m in ms.matrices]
         return
+    D = ms.dimension
+    assert ms.array.dtype == object and ms.array.shape == (ms.nvars, D, D)
     for i, d in enumerate(ms.denominators):
         assert d == math.lcm(*(c.denominator for col in ms.matrices[i] for c in col))
         for j in range(D):
             for k in range(D):
-                assert Fraction(ms.array[i][j][k], d) == ms.matrices[i][j][k]
+                a = ms.array[i][j][k]
+                assert type(a) is int and Fraction(a, d) == ms.matrices[i][j][k]
 
 
 @pytest.mark.parametrize("choice", ["mac", "drvl"])
