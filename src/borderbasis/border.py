@@ -487,7 +487,8 @@ class BorderBasis:
     certificate, the projection and the syzygies all read it).
 
     Raises NotABorderBasisError when some x_i*b has neither a place in B nor
-    a rule, or its rule's tail leaves B.
+    a rule, when its rule's tail leaves B, or when a rule's lead is not on the
+    border.
     """
 
     def __init__(self, B, rules: dict, loops: int, field, nvars: int):

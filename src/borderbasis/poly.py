@@ -201,19 +201,33 @@ def neighbours(basis, basis_set):
                     yield k, i, j
 
 
-def b_index(m: Monomial, B: set) -> int:
+def b_index(m: Monomial, B: set, memo: dict | None = None) -> int:
     """Least k with m in B^[k]; requires 1 in B.
 
-    Equals min{|q| : m = q * b, b in B}.
+    Equals min{|q| : m = q * b, b in B}: 0 on B, otherwise 1 + the least
+    index of the m/x_i (taking one variable off a shortest q factors m/x_i).
+    ``memo`` (monomial -> index) keeps the indices found; a caller may pass
+    one to share them between calls on the same B.
     """
-    n = len(m)
-    if mono_one(n) not in B:
+    if mono_one(len(m)) not in B:
         raise ValueError("b_index requires 1 in B")
-    best = mono_size(m)
-    for b in B:
-        if mono_divides(b, m):
-            best = min(best, mono_size(m) - mono_size(b))
-    return best
+    if memo is None:
+        memo = {}
+    stack = [m]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+        elif u in B:
+            memo[u] = 0
+        else:
+            below = [u[:i] + (e - 1,) + u[i + 1 :] for i, e in enumerate(u) if e]
+            todo = [v for v in below if v not in memo]
+            if todo:
+                stack += todo
+            else:
+                memo[u] = 1 + min(memo[v] for v in below)
+    return memo[m]
 
 
 def connected_component_of_one(B: set) -> set:

@@ -123,13 +123,15 @@ class MultiplicationSystem:
 
 
 def build_mult_system(bb: BorderBasis) -> MultiplicationSystem:
-    """Multiplication matrices from a basis and its rewriting rules."""
+    """Multiplication matrices from a basis and its rewriting rules, which
+    must be exactly one per border monomial."""
     f = bb.field
     n = bb.nvars
     basis = bb.basis
     index = {m: j for j, m in enumerate(basis)}
     D = len(basis)
     matrices = []
+    read = set()  # the border monomials, whose rules the matrices read
     for i in range(n):
         cols = []
         xi = mono_var(n, i)
@@ -139,6 +141,7 @@ def build_mult_system(bb: BorderBasis) -> MultiplicationSystem:
             if m in index:
                 col[index[m]] = f.one
             else:
+                read.add(m)
                 rule = bb.rules.get(m)
                 if rule is None:
                     raise NotABorderBasisError(
@@ -153,6 +156,11 @@ def build_mult_system(bb: BorderBasis) -> MultiplicationSystem:
                     col[index[t]] = c
             cols.append(col)
         matrices.append(cols)
+    if len(bb.rules) != len(read):
+        m = min(set(bb.rules) - read, key=mono_key)
+        raise NotABorderBasisError(
+            f"rule for {format_monomial(m)}, which is not a border monomial; not a border basis"
+        )
     return MultiplicationSystem(basis, matrices, f, n)
 
 

@@ -25,6 +25,13 @@ Inside the lift and the reduction a vector is flat: (m, w) -> coefficient,
 one key per term m*e_w, so `poly.axpy` updates it like any other sparse map.
 The public functions take and return {w: Polynomial}; `_flat` and `_nested`
 convert.
+
+`reduce_syzygy` descends on the b-index of each term m*e_w, the least |q|
+with m*w = q*b for b in B (`poly.b_index`).  Within one call it keeps three
+memos, dropped when it returns: the b-index of each monomial met, each
+term's (m*w, b-index, |m|, order key), and each exchange partner.  A step
+picks its term in one pass over the residual, so it costs time in proportion
+to the residual, not to the residual times |B|.
 """
 
 from __future__ import annotations
@@ -233,35 +240,50 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
         raise SyzygyError("input is not a syzygy: Sum h_w f_w != 0")
     f = bb.field
     minus_one = f.normalize(-f.one)
+    # memos for this call: b-indices, each term's data, exchange partners
+    indices, terms, partners = {}, {}, {}
+
+    def term(mw):
+        """(u = m*w, b-index(u), |m|, order key) of the term m*e_w."""
+        t = terms.get(mw)
+        if t is None:
+            m, w = mw
+            u = mono_mul(m, w)
+            delta = b_index(u, bb.basis_set, indices)
+            t = terms[mw] = (u, delta, mono_size(m), (mono_key(w), mono_key(m)))
+        return t
+
     residual = _flat(coeffs)
     for _ in range(_REDUCE_STEP_LIMIT):
         if not residual:
             return {}
-        keys = sorted(residual, key=lambda mw: (mono_key(mw[1]), mono_key(mw[0])))
         # phase 1: normalize so every term has b-index(m*w) == |m| + 1,
-        # rewriting maximal-index offenders first
-        offenders = []
-        for m, w in keys:
-            delta = b_index(mono_mul(m, w), bb.basis_set)
-            if delta <= mono_size(m):
-                offenders.append((delta, mono_size(m), m, w))
-        if offenders:
-            delta, _, m, w = max(offenders, key=lambda t: t[:3])
-            m2, w2 = _exchange_partner(mono_mul(m, w), delta, bb)
+        # rewriting the largest (b-index, |m|, m) first, on a tie the least
+        # order key
+        best = None
+        for mw in residual:
+            u, delta, size, key = term(mw)
+            if delta <= size:
+                rank = (delta, size, mw[0])
+                if best is None or rank > best[0] or (rank == best[0] and key < best[1]):
+                    best = rank, key, mw, u
+        if best is not None:
+            (delta, _, _), _, (m, w), u = best
+            if u not in partners:
+                partners[u] = _exchange_partner(u, delta, bb)
+            m2, w2 = partners[u]
         else:
-            # phase 2: all terms normalized; cancel the maximal-index pair
+            # phase 2: all terms normalized; on the largest (b-index, order
+            # key) u that two terms share, cancel its two least terms
             groups = {}
-            for m, w in keys:
-                groups.setdefault(mono_mul(m, w), []).append((m, w))
-            pairs = [
-                ((b_index(u, bb.basis_set), mono_key(u)), entries)
-                for u, entries in groups.items()
-                if len(entries) >= 2
-            ]
+            for mw in residual:
+                groups.setdefault(term(mw)[0], []).append(mw)
+            pairs = [(u, entries) for u, entries in groups.items() if len(entries) >= 2]
             if not pairs:
                 # nothing cancels: impossible for a genuine syzygy
                 return _nested(residual, bb)
-            (m, w), (m2, w2) = max(pairs, key=lambda t: t[0])[1][:2]
+            _, entries = max(pairs, key=lambda p: (indices[p[0]], mono_key(p[0])))
+            (m, w), (m2, w2) = sorted(entries, key=lambda mw: term(mw)[3])[:2]
         # a syzygy whose leading term is m*e_w
         exchange = axpy(f, _lift(m, w, bb), minus_one, _lift(m2, w2, bb))
         axpy(f, residual, f.normalize(-residual[m, w]), exchange)

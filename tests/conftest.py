@@ -25,6 +25,7 @@ from borderbasis.poly import (
     border,
     format_monomial,
     mono_div,
+    mono_divides,
     mono_key,
     mono_size,
     monomials_of_degree_at_most,
@@ -104,6 +105,12 @@ def random_poly(rng, field, n, max_deg, density=0.5):
 
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def b_index_by_scan(m, B):
+    """min{|q| : m = q * b, b in B} by a scan over B: the reference for
+    `poly.b_index`."""
+    return min(mono_size(m) - mono_size(b) for b in B if mono_divides(b, m))
 
 
 def stable_by_division(B):

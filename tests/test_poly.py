@@ -27,7 +27,7 @@ from borderbasis.poly import (
     prolong,
 )
 
-from conftest import mono_lcm, poly_of, seeded, stable_by_division
+from conftest import b_index_by_scan, compute, mono_lcm, poly_of, seeded, stable_by_division
 
 
 def test_mono_ops():
@@ -56,6 +56,34 @@ def test_b_index():
     assert b_index((1, 1), B) == 0
     assert b_index((2, 1), B) == 1
     assert b_index((2, 2), B) == 2
+
+
+def test_b_index_requires_one():
+    with pytest.raises(ValueError, match="requires 1 in B"):
+        b_index((1, 1), {(1, 0), (1, 1)})
+
+
+def _b_index_sets():
+    """Monomial sets containing 1 in two variables: divisor-closed ones, the
+    non-order-ideal basis of test_syzygy, and seeded random ones."""
+    from test_syzygy import NON_ORDER_IDEAL
+
+    yield divisor_closure({(2, 1), (0, 3)})
+    yield divisor_closure({(4, 0), (1, 2), (0, 1)})
+    yield compute(NON_ORDER_IDEAL, parse_field("qq"), choice="drvl").basis_set
+    rng = seeded(11)
+    monos = monomials_of_degree_at_most(2, 4)
+    for _ in range(20):
+        yield {(0, 0)} | set(rng.sample(monos, rng.randint(1, 8)))
+
+
+def test_b_index_matches_the_scan():
+    for B in _b_index_sets():
+        memo = {}
+        for m in monomials_of_degree_at_most(2, 7):
+            assert b_index(m, B) == b_index_by_scan(m, B)
+            # a memo shared between calls gives the same indices
+            assert b_index(m, B, memo) == b_index_by_scan(m, B)
 
 
 def test_connectivity_and_stability():

@@ -80,6 +80,20 @@ def test_rule_tail_outside_the_basis_rejected(qq, mac):
         BorderBasis(bb.basis, rules, bb.loops, qq, 2)
 
 
+def test_rule_off_the_border_rejected(qq, mac):
+    # x0 lies in B and x0^5*x1^5 far outside it: the matrices read neither
+    # rule, so bb.rules would hold rules the certificate never saw
+    bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
+    rules = dict(bb.rules)
+    rules[1, 0] = RewritingRule((1, 0), poly_of("5", qq))
+    rules[5, 5] = RewritingRule((5, 5), poly_of("7", qq))
+    with pytest.raises(NotABorderBasisError, match=r"rule for x0, which is not a border monomial"):
+        BorderBasis(bb.basis, rules, bb.loops, qq, 2)
+    del rules[1, 0]
+    with pytest.raises(NotABorderBasisError, match=r"rule for x0\^5\*x1\^5, which"):
+        BorderBasis(bb.basis, rules, bb.loops, qq, 2)
+
+
 def test_printed_family_fails_commutation(qq, mac):
     # the printed degree-3 reducing family is not a border basis
     from test_border import REFERENCE_B, reference_rules

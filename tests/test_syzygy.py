@@ -8,6 +8,7 @@ from borderbasis import (
     parse_choice,
     reduce_syzygy,
 )
+from borderbasis import syzygy
 from borderbasis.fields import parse_field
 from borderbasis.poly import (
     axpy,
@@ -29,6 +30,8 @@ from borderbasis.syzygy import (
     mu,
     verify_syzygy,
 )
+
+import hashlib
 
 import pytest
 
@@ -288,3 +291,58 @@ def test_oracle_syzygy_completeness_small(fp, mac):
     for syz in oracle_syzygy_basis(bb):
         assert verify_syzygy(syz, bb)
         assert reduce_syzygy(syz, bb) == {}
+
+
+def _combinations(bb, seed, count=5):
+    """count seeded syzygies, each a combination sum c_j x^a_j r_j of three
+    generated relations r_j, x^a_j a variable or 1 and c_j in 1..100."""
+    rng = seeded(seed)
+    rels = generate_syzygies(bb)
+    out = []
+    for _ in range(count):
+        coeffs = {}
+        for rel in rng.sample(rels, 3):
+            k = rng.randrange(bb.nvars + 1)
+            mono = tuple(int(i == k) for i in range(bb.nvars))
+            c = bb.field.from_int(rng.randint(1, 100))
+            for w, h in rel.coeffs.items():
+                term = h.mul_monomial(mono, c)
+                coeffs[w] = coeffs[w].add(term) if w in coeffs else term
+        out.append({w: h for w, h in coeffs.items() if not h.is_zero()})
+    return out
+
+
+@pytest.mark.parametrize("name", ["drvl", "fp", "qq"])
+def test_seeded_combinations_reduce_to_zero(name):
+    # drvl: the descent on a basis that is not an order ideal
+    bb = BASES[name]()
+    for syz in _combinations(bb, 20):
+        assert verify_syzygy(syz, bb)
+        assert reduce_syzygy(syz, bb) == {}
+
+
+# (number, sha256 of the repr) of the _lift(m, theta) calls that
+# reduce_syzygy makes, in order, on the combinations above; recorded while
+# the descent still scanned B for every b-index and sorted every step
+LIFT_SEQUENCES = {
+    "drvl": (56, "70b7484cd2508eb4f3507a26188ee067e3fa920f1d712ea3e59c203f0108169b"),
+    "fp": (188, "265003674576217b9e46d17b2edbd5d9e8826d4380060e56042b652c56b5b5f8"),
+    "qq": (108, "db2692548780bf17052ee8cc2b033aa5495176a28fc25d0c2bcf766c948cb9f8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_SEQUENCES))
+def test_descent_takes_the_pinned_steps(name, monkeypatch):
+    bb = BASES[name]()
+    combos = _combinations(bb, 20)
+    calls = []
+
+    def lift(m, theta, bb):
+        calls.append((m, theta))
+        return _lift(m, theta, bb)
+
+    monkeypatch.setattr(syzygy, "_lift", lift)
+    for syz in combos:
+        reduce_syzygy(syz, bb)
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert (len(calls), digest) == LIFT_SEQUENCES[name]
