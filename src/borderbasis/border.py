@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .choice import ChoiceFunction, NoChoosableMonomial
-from .fields import FloatField, RationalField, int64_sums_fit
+from .fields import FloatField, RationalField, float64_sums_fit, int64_sums_fit
 from .poly import (
     Monomial,
     Polynomial,
@@ -336,6 +336,17 @@ _KERNEL_MIN_SIZE = 90
 _BLOCK = 1 << 15
 
 
+def _residue_product(a, b, in_float: bool):
+    """a @ b for int64 arrays of residues, exactly.  With ``in_float`` (the
+    field's sums of a.shape[1] products are exact in float64,
+    `float64_sums_fit`) it is one float64 BLAS product, whose entries are
+    the integers themselves, cast back to int64; otherwise numpy's int64
+    product, which does not use BLAS."""
+    if in_float:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a @ b
+
+
 class _ModpEchelon(_Universe):
     """The echelon over Z/p as int64 residues: one dense row per element over
     the columns of B+.  Used when the field's sums of |B+| products fit int64
@@ -344,7 +355,11 @@ class _ModpEchelon(_Universe):
 
     A batch is first reduced against the elements in one product,
     R - R[:, pivots] @ E mod p, which is exact because the elements are fully
-    back-reduced, so the reduced row of a span is unique.  The surviving rows
+    back-reduced, so the reduced row of a span is unique.  The product runs
+    over the pivots some row of the batch holds, and where the field's sums
+    of |B+| products are exact in float64 (`float64_sums_fit`) it is a
+    float64 BLAS product of the residues (`_residue_product`); the elements,
+    the rank-1 updates and the multiples stay int64.  The surviving rows
     then take their pivots in order, as the dict echelon inserts them; each
     is made monic and cleared from the elements by one rank-1 update mod p.
     Under drvl, dlex and mac the pivot is the argmax of a rank by degree,
@@ -373,6 +388,7 @@ class _ModpEchelon(_Universe):
             self._rank[order] = np.arange(size)
         self._E = np.zeros((size, size), np.int64)  # rows [0, len(pivot_of)) are the elements
         self._P = np.zeros(size, np.intp)  # their pivot columns
+        self._in_float = float64_sums_fit(field, size)
 
     @property
     def elements(self):
@@ -403,11 +419,16 @@ class _ModpEchelon(_Universe):
         return out.reshape(-1, len(self.cols))[inside.ravel()]
 
     def _reduce(self, rows):
-        """The rows reduced by the elements, in place, without the zero rows."""
+        """The rows reduced by the elements, in place, without the zero rows:
+        R - R[:, P[used]] @ E[used] mod p over the elements whose pivot column
+        some row holds, as one `_residue_product`."""
         e = len(self.pivot_of)
         if e:
-            rows -= rows[:, self._P[:e]] @ self._E[:e]
-            rows %= self.p
+            held = rows[:, self._P[:e]]
+            used = held.any(axis=0).nonzero()[0]
+            if len(used):
+                rows -= _residue_product(held[:, used], self._E[used], self._in_float)
+                rows %= self.p
         nonzero = rows.any(axis=1)
         return rows if nonzero.all() else rows[nonzero]
 

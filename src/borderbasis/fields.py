@@ -166,9 +166,20 @@ class PrimeField(Field):
 def int64_sums_fit(field: Field, terms: int) -> bool:
     """True when ``field`` is a prime field whose sums of ``terms`` products of
     two residues fit int64: terms*(p-1)^2 < 2^63.  The echelon runs on int64
-    arrays mod p only then; the commutation check and the normal form run
-    on int64 arrays then, and on object arrays of Python ints otherwise."""
+    arrays mod p only then, and reduces its blocks by an int64 product where
+    `float64_sums_fit` does not hold; the commutation check and the normal
+    form run on int64 arrays then, and on object arrays of Python ints
+    otherwise."""
     return isinstance(field, PrimeField) and terms * (field.p - 1) ** 2 < 2**63
+
+
+def float64_sums_fit(field: Field, terms: int) -> bool:
+    """True when ``field`` is a prime field whose sums of ``terms`` products of
+    two residues are exact in float64: terms*(p-1)^2 < 2^53, so every partial
+    sum is an integer float64 holds, in any order of summation (Dumas, Giorgi
+    & Pernet, ACM TOMS 35, 2008).  The int64 echelon then reduces its blocks
+    by a float64 BLAS product."""
+    return isinstance(field, PrimeField) and terms * (field.p - 1) ** 2 < 2**53
 
 
 DEFAULT_EPS = 1e-10

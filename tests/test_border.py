@@ -16,7 +16,7 @@ from borderbasis import (
 )
 from borderbasis import border as border_module
 from borderbasis.border import RewritingRule, _Echelon, _ModpEchelon, _RationalEchelon
-from borderbasis.fields import int64_sums_fit
+from borderbasis.fields import float64_sums_fit, int64_sums_fit
 from borderbasis.poly import border, mono_key, monomials_of_degree_at_most
 
 from conftest import (
@@ -348,12 +348,13 @@ def _random_batch(rng, field, ncols, size, coeff):
     return rows
 
 
-@pytest.mark.parametrize("spec", ["fp:65537", "fp:1000003"])
+@pytest.mark.parametrize("spec", ["fp:65537", "fp:1000003", "fp:100000007"])
 @pytest.mark.parametrize("choice", CHOICES)
 def test_int64_echelon_matches_the_dict_echelon(spec, choice):
     # the same seeded batches, then their x_i-multiples, into both echelons:
     # the same rows back in order, the same pivots, the same elements and,
-    # under mix, the same coin draws
+    # under mix, the same coin draws (the first two primes reduce by the
+    # float64 product, 100000007 by the int64 one)
     field = parse_field(spec)
     rng = seeded(13)
     for _ in range(6):
@@ -362,6 +363,7 @@ def test_int64_echelon_matches_the_dict_echelon(spec, choice):
         cfs = parse_choice(choice), parse_choice(choice)
         ref, kern = _Echelon(B, cfs[0], field, n), _ModpEchelon(B, cfs[1], field, n)
         assert int64_sums_fit(field, len(kern.cols))
+        assert kern._in_float == (field.p < 10**8)
         for _ in range(3):
             size = rng.randint(1, 12)
             batch = _random_batch(
@@ -389,6 +391,17 @@ def test_int64_kernel_gives_the_dict_bases(monkeypatch, choice):
         runs.append([compute_border_basis(F, parse_choice(choice)) for F in systems])
     for a, b in zip(*runs):
         assert a.to_json_dict() == b.to_json_dict() and a.loops == b.loops
+
+
+@pytest.mark.parametrize("n, dim", [(4, 16), (5, 32)])
+def test_katsura_beyond_the_float64_range(n, dim):
+    # the sums of 100000007 fit int64 but not float64 at these |B+|, so its
+    # blocks take the int64 product: the same basis and loops as over
+    # 1000003, whose blocks take the float64 one
+    big, small = parse_field("fp:100000007"), parse_field("fp:1000003")
+    assert int64_sums_fit(big, (n + 1) * dim) and not float64_sums_fit(big, 1)
+    a, b = (compute_border_basis(gen_katsura(f, n), parse_choice("mac")) for f in (big, small))
+    assert a.basis == b.basis and len(a.basis) == dim and a.loops == b.loops
 
 
 def _fraction(rng):

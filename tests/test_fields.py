@@ -1,16 +1,19 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from borderbasis import parse_field
+from borderbasis.border import _residue_product
 from borderbasis.fields import (
     DEFAULT_EPS,
     FieldDivisionError,
     FloatField,
     PrimeField,
     RationalField,
+    float64_sums_fit,
     int64_sums_fit,
     is_prime,
 )
@@ -123,3 +126,25 @@ def test_int64_range_of_the_prime_fields():
     assert not int64_sums_fit(PrimeField(2147483647), 3)
     assert not int64_sums_fit(RationalField(), 1)
     assert not int64_sums_fit(FloatField(), 1)
+
+
+def test_float64_range_of_the_benchmark_prime():
+    # k*(p-1)^2 < 2^53: the sums of 1000003 are exact in float64 up to 9,007
+    # products, more than the |B+| of Katsura 6; none over qq or f64
+    f = PrimeField(1000003)
+    assert float64_sums_fit(f, 9007)
+    assert not float64_sums_fit(f, 9008)
+    assert not float64_sums_fit(RationalField(), 1)
+    assert not float64_sums_fit(FloatField(), 1)
+
+
+def test_residue_product_exact_at_the_float64_bound():
+    # the largest sum the float64 product may form: 9,007 products of
+    # (p-1)^2, equal to the Python-int sum, so also mod p
+    p, k = 1000003, 9007
+    a, b = np.full((1, k), p - 1, np.int64), np.full((k, 1), p - 1, np.int64)
+    in_float = float64_sums_fit(PrimeField(p), k)
+    assert in_float
+    out = _residue_product(a, b, in_float)
+    assert out.dtype == np.int64
+    assert int(out[0, 0]) == k * (p - 1) ** 2
