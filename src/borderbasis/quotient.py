@@ -18,7 +18,6 @@ from .poly import (
     Monomial,
     Polynomial,
     format_monomial,
-    mono_div,
     mono_key,
     mono_mul,
     mono_var,
@@ -37,17 +36,16 @@ class MultiplicationSystem:
     """The n multiplication-by-variable matrices on an ordered basis B.
 
     Matrices are dense, stored column-major: ``matrices[i][j]`` is the
-    coordinate vector of the reduction of x_i * B[j].  ``apply`` walks their
-    nonzero entries and normalizes each coordinate once (``Field.normalize``).
+    coordinate vector of the reduction of x_i * B[j].
 
-    On an exact field ``array`` holds the same matrices once more as one
-    integer array of shape (n, D, D), the route of `commutators` and
-    `normal_form`.  Over Z/p ``array[i][j]`` is the column j of M_i mod p:
+    ``array`` holds the same matrices once more as one numpy array of shape
+    (n, D, D), the route of `commutators`, `normal_form` and `apply` on
+    every field.  Over Z/p ``array[i][j]`` is the column j of M_i mod p:
     int64 when sums of D products of residues fit (`int64_sums_fit`), a
     numpy object array of Python ints otherwise.  Over ``qq`` it is the
     column j of d_i * M_i, with d_i = ``denominators[i]`` the lcm of the
-    denominators in M_i.  Over f64 ``array`` is None, and so is
-    ``denominators`` on every field but ``qq``.
+    denominators in M_i.  Over f64 it is the column j of M_i as float64.
+    ``denominators`` is None on every field but ``qq``.
 
     ``outside[i]`` lists, in basis order, the pairs (k, x_i*B[k]) for each
     basis position k whose x_i-multiple leaves B: the border shifts that
@@ -60,14 +58,11 @@ class MultiplicationSystem:
         self.matrices = matrices
         self.field = field
         self.nvars = nvars
-        self._entries = [
-            [[(k, c) for k, c in enumerate(col) if c != field.zero] for col in m] for m in matrices
-        ]
         self.outside = []
         for i in range(nvars):
             shifts = ((k, mono_mul(b, mono_var(nvars, i))) for k, b in enumerate(self.basis))
             self.outside.append([(k, w) for k, w in shifts if w not in self.index])
-        self.array = self.denominators = None
+        self.denominators = None
         if isinstance(field, PrimeField):
             dtype = np.int64 if int64_sums_fit(field, len(self.basis)) else object
             self.array = np.array(matrices, dtype=dtype) % field.p
@@ -80,21 +75,27 @@ class MultiplicationSystem:
                 ],
                 dtype=object,
             )
+        else:
+            self.array = np.array(matrices, dtype=np.float64)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def apply(self, i: int, vec):
-        """M_i applied to a coordinate vector."""
-        f = self.field
-        out = [f.zero] * self.dimension
-        for c, col in zip(vec, self._entries[i]):
-            if f.is_zero(c):
-                continue
-            for k, a in col:
-                out[k] += c * a
-        return [f.normalize(x) for x in out]
+        """M_i applied to a coordinate vector: one product of the vector with
+        ``array[i]``, mod p over Z/p; over ``qq`` the vector is taken over the
+        lcm of its denominators and the product over that times d_i.  A
+        float coordinate that overflows raises NumericError."""
+        f, a, d = self.field, self.array[i], self.denominators
+        if isinstance(f, PrimeField):
+            return (np.array([c % f.p for c in vec], dtype=a.dtype) @ a % f.p).tolist()
+        if d is not None:
+            common = math.lcm(*(c.denominator for c in vec))
+            product = np.array([c.numerator * (common // c.denominator) for c in vec], dtype=object) @ a
+            return [Fraction(x, common * d[i]) for x in product.tolist()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(np.array(vec, dtype=np.float64) @ a).tolist()
 
     def vector_of(self, p: Polynomial):
         """Coordinates of a polynomial supported in B."""
@@ -164,51 +165,49 @@ def build_mult_system(bb: BorderBasis) -> MultiplicationSystem:
     return MultiplicationSystem(basis, matrices, f, n)
 
 
+def _finite(x):
+    """x, unless a float entry overflowed to inf or nan: then NumericError,
+    as `FloatField.normalize` raises it."""
+    if x.dtype == np.float64 and not np.isfinite(x).all():
+        raise NumericError("float overflow: a coordinate became inf or nan")
+    return x
+
+
 def commutators(ms: MultiplicationSystem):
     """The nonzero columns of M_i M_j - M_j M_i, as (i, j, column index,
     column), over the `neighbours` columns in their order.
 
-    Exact fields compare exactly on ``ms.array`` (`_commutators_on_integers`).
-    Over f64 the matrices are applied column by column, with an entrywise
-    tolerance max(eps, 1e-10 * |M_i| * |M_j|) so badly scaled systems do not
-    fail spuriously.
+    Each pair's difference is formed once on ``ms.array``, as
+    A_j A_i - A_i A_j = d_i d_j (M_i M_j - M_j M_i)^T (d_i = 1 but over
+    ``qq``), reduced mod p over Z/p.  Exact fields test it for zero exactly,
+    and yield a nonzero column as ints mod p, or as Fractions over d_i d_j.
+    Over f64 an entry is nonzero when it exceeds
+    max(eps, 1e-10 * |M_i| * |M_j|), |M| the largest magnitude in M, so
+    badly scaled systems do not fail spuriously; a column is yielded as
+    floats, and an entry that overflows raises NumericError.
     """
-    if ms.array is not None:
-        yield from _commutators_on_integers(ms)
-        return
-    f = ms.field
-    norms = [max((f.magnitude(c) for col in m for c in col), default=0.0) for m in ms.matrices]
-    for k, i, j in neighbours(ms.basis, ms.index):
-        a = ms.apply(i, ms.matrices[j][k])
-        b = ms.apply(j, ms.matrices[i][k])
-        diff = [f.normalize(x - y) for x, y in zip(a, b)]
-        tol = max(f.eps, 1e-10 * norms[i] * norms[j])
-        if any(f.magnitude(c) > tol for c in diff):
-            yield i, j, k, diff
-
-
-def _commutators_on_integers(ms: MultiplicationSystem):
-    """`commutators` on ``ms.array``, one product per pair: each difference
-    is formed as A_j A_i - A_i A_j = d_i d_j (M_i M_j - M_j M_i)^T, reduced
-    mod p, and zero-tested on integers; a nonzero column is yielded as ints
-    mod p, or as Fractions over d_i d_j."""
-    n, a, d = ms.nvars, ms.array, ms.denominators
-    mod = ms.field.p if d is None else None
+    f, n, a, d = ms.field, ms.nvars, ms.array, ms.denominators
+    mod = f.p if isinstance(f, PrimeField) else None
+    norms = np.abs(a).max(axis=(1, 2)) if a.dtype == np.float64 else None
     # a[i] holds the columns of d_i M_i as rows, so a[j] @ a[i] is d_i d_j (M_i M_j)^T
     diffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = a[j] @ a[i] - a[i] @ a[j]
-            if mod is not None:
-                diff %= mod
-            if diff.any():
-                diffs[i, j] = diff
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff = a[j] @ a[i] - a[i] @ a[j]
+                if mod is not None:
+                    diff %= mod
+                nonzero = diff
+                if norms is not None:
+                    nonzero = np.abs(_finite(diff)) > max(f.eps, 1e-10 * norms[i] * norms[j])
+                if nonzero.any():
+                    diffs[i, j] = diff, nonzero
     if diffs:
         for k, i, j in neighbours(ms.basis, ms.index):
-            diff = diffs.get((i, j))
-            if diff is not None and diff[k].any():
+            diff, nonzero = diffs.get((i, j), (None, None))
+            if diff is not None and nonzero[k].any():
                 col = diff[k].tolist()
-                yield i, j, k, col if mod is not None else [Fraction(x, d[i] * d[j]) for x in col]
+                yield i, j, k, col if d is None else [Fraction(x, d[i] * d[j]) for x in col]
 
 
 def check_commutation(ms: MultiplicationSystem):
@@ -218,46 +217,14 @@ def check_commutation(ms: MultiplicationSystem):
     return True, None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Polynomial:
     """The unique projection of K[x] onto <B> with kernel the ideal.
 
     A monomial's coordinates are M_i applied to those of the monomial with
     its leftmost variable x_i peeled off; commutation must have been verified
-    so the variable order is irrelevant.  The coordinates are memoized for
-    this call only, so a query costs the same whatever was asked before.
-
-    On an exact field the coordinates are computed level by level on
-    ``ms.array`` (`_normal_form_on_integers`).  Over f64 they are computed
-    one monomial at a time with `MultiplicationSystem.apply`; so are they
-    on an exact field whose ``array`` is cleared, with the same values.
-    """
-    if ms.array is not None:
-        return _normal_form_on_integers(p, ms)
-    f = ms.field
-    memo: dict[Monomial, list] = {}
-
-    def vec_of_monomial(m: Monomial):
-        v = memo.get(m)
-        if v is None:
-            j = ms.index.get(m)
-            if j is None:
-                i = next(k for k, e in enumerate(m) if e > 0)
-                v = ms.apply(i, vec_of_monomial(mono_div(m, mono_var(ms.nvars, i))))
-            else:
-                v = [f.zero] * ms.dimension
-                v[j] = f.one
-            memo[m] = v
-        return v
-
-    acc = [f.zero] * ms.dimension
-    for m in sorted(p.terms, key=mono_key):
-        c = p.terms[m]
-        acc = [x + c * y for x, y in zip(acc, vec_of_monomial(m))]
-    return ms.poly_of([f.normalize(x) for x in acc])
-
-
-def _normal_form_on_integers(p: Polynomial, ms: MultiplicationSystem):
-    """`normal_form` on ``ms.array``.
+    so the variable order is irrelevant.  They are computed on ``ms.array``
+    for this call only, so a query costs the same whatever was asked before.
 
     Each monomial needed is x_i times its parent, the monomial with its
     leftmost variable x_i peeled off, at depth one more than the parent's
@@ -269,10 +236,11 @@ def _normal_form_on_integers(p: Polynomial, ms: MultiplicationSystem):
     is p's coefficients times the rows of its terms outside B, plus its
     terms in B: mod p over Z/p, on Python ints when the sums of that many
     products would not fit int64; over Q as integers over one common
-    denominator, each coordinate made a Fraction once.
+    denominator, each coordinate made a Fraction once; over f64 in float64,
+    where a coordinate that overflows raises NumericError.
     """
-    index, a, d = ms.index, ms.array, ms.denominators
-    mod = ms.field.p if d is None else None
+    f, index, a, d = ms.field, ms.index, ms.array, ms.denominators
+    mod = f.p if isinstance(f, PrimeField) else None
     outside = [m for m in p.terms if m not in index]
     row: dict[Monomial, int] = {}
     depth_of: list[int] = []  # by row
@@ -311,19 +279,23 @@ def _normal_form_on_integers(p: Polynomial, ms: MultiplicationSystem):
         else:
             product = C[srcs] @ a[i]
             C[rows] = product if mod is None else product % mod
-        if mod is None:
+        if d is not None:
             for r, s in zip(rows, srcs):
                 den[r] = d[i] if depth == 1 else den[s] * d[i]
-    vec = [0] * ms.dimension
-    if mod is not None:
+    if d is None:
+        vec = [f.zero] * ms.dimension
         if terms:
-            dtype = np.int64 if int64_sums_fit(ms.field, len(outside)) else object
-            coeffs = np.array([p.terms[m] % mod for m in outside], dtype=dtype)
-            vec = (coeffs @ C[terms] % mod).tolist()
+            if mod is None:
+                coeffs = np.array([p.terms[m] for m in outside])
+            else:
+                dtype = np.int64 if int64_sums_fit(f, len(outside)) else object
+                coeffs = np.array([p.terms[m] % mod for m in outside], dtype=dtype)
+            product = coeffs @ _finite(C)[terms]
+            vec = _finite(product if mod is None else product % mod).tolist()
         for m, c in p.terms.items():
             j = index.get(m)
             if j is not None:
-                vec[j] = (vec[j] + c) % mod
+                vec[j] = f.normalize(vec[j] + c)
         return ms.poly_of(vec)
     # over Q every term is taken over one common denominator
     coeffs = [p.terms[m] for m in outside]
@@ -331,6 +303,7 @@ def _normal_form_on_integers(p: Polynomial, ms: MultiplicationSystem):
         *(c.denominator * den[r] for c, r in zip(coeffs, terms)),
         *(c.denominator for m, c in p.terms.items() if m in index),
     )
+    vec = [0] * ms.dimension
     if terms:
         weights = [c.numerator * (common // (c.denominator * den[r])) for c, r in zip(coeffs, terms)]
         vec = (np.array(weights, dtype=object) @ C[terms]).tolist()

@@ -28,6 +28,7 @@ from borderbasis.poly import (
     mono_divides,
     mono_key,
     mono_size,
+    mono_var,
     monomials_of_degree_at_most,
     neighbours,
 )
@@ -180,7 +181,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from borderbasis.fields import PrimeField, RationalField
+from borderbasis.fields import FloatField, PrimeField, RationalField
 
 
 def rref_fp(a, p):
@@ -473,18 +474,66 @@ def non_commuting_basis(field):
     return BorderBasis(bb.basis, rules, bb.loops, field, 2)
 
 
-def reference_commutators(ms):
-    """`commutators` over an exact field, column by column through
-    `MultiplicationSystem.apply`: the reference for the products on
-    ``ms.array`` (int64 or Python ints mod p, and the numerators over qq),
-    which is the only route `commutators` takes on an exact field."""
+def reference_apply(ms, i, vec):
+    """M_i applied to a coordinate vector entry by entry over
+    ``ms.matrices``, skipping the zero coordinates and normalizing each
+    result once: the reference for `MultiplicationSystem.apply`."""
     f = ms.field
+    out = [f.zero] * ms.dimension
+    for c, col in zip(vec, ms.matrices[i]):
+        if f.is_zero(c):
+            continue
+        for k, a in enumerate(col):
+            out[k] += c * a
+    return [f.normalize(x) for x in out]
+
+
+def reference_normal_form(p, ms):
+    """`normal_form` one monomial at a time through `reference_apply`, each
+    monomial's coordinates those of its parent (leftmost variable peeled
+    off) under M_i, memoized for this call: the reference for the levels
+    on ``ms.array``."""
+    f = ms.field
+    memo = {}
+
+    def vec_of_monomial(m):
+        v = memo.get(m)
+        if v is None:
+            j = ms.index.get(m)
+            if j is None:
+                i = next(k for k, e in enumerate(m) if e > 0)
+                v = reference_apply(ms, i, vec_of_monomial(mono_div(m, mono_var(ms.nvars, i))))
+            else:
+                v = [f.zero] * ms.dimension
+                v[j] = f.one
+            memo[m] = v
+        return v
+
+    acc = [f.zero] * ms.dimension
+    for m in sorted(p.terms, key=mono_key):
+        c = p.terms[m]
+        acc = [x + c * y for x, y in zip(acc, vec_of_monomial(m))]
+    return ms.poly_of([f.normalize(x) for x in acc])
+
+
+def reference_commutators(ms):
+    """`commutators` column by column through `reference_apply`: the
+    reference for the products on ``ms.array`` (int64 or Python ints mod p,
+    the numerators over qq, float64 on f64).  Over f64 an entry counts as
+    nonzero above max(eps, 1e-10 * |M_i| * |M_j|), as in `commutators`."""
+    f = ms.field
+    norms = [max((f.magnitude(c) for col in m for c in col), default=0.0) for m in ms.matrices]
     out = []
     for k, i, j in neighbours(ms.basis, ms.index):
-        a = ms.apply(i, ms.matrices[j][k])
-        b = ms.apply(j, ms.matrices[i][k])
+        a = reference_apply(ms, i, ms.matrices[j][k])
+        b = reference_apply(ms, j, ms.matrices[i][k])
         diff = [f.normalize(x - y) for x, y in zip(a, b)]
-        if not all(f.is_zero(c) for c in diff):
+        if isinstance(f, FloatField):
+            tol = max(f.eps, 1e-10 * norms[i] * norms[j])
+            nonzero = any(abs(c) > tol for c in diff)
+        else:
+            nonzero = not all(f.is_zero(c) for c in diff)
+        if nonzero:
             out.append((i, j, k, diff))
     return out
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from borderbasis import (
     MultiplicationSystem,
     NotABorderBasisError,
+    NumericError,
     Polynomial,
     build_mult_system,
     check_commutation,
@@ -29,9 +31,23 @@ from conftest import (
     poly_of,
     random_poly,
     random_regular_system,
+    reference_apply,
     reference_commutators,
+    reference_normal_form,
     seeded,
 )
+
+# float64 results against the per-entry reference, which sums in another
+# order and skips coordinates below eps: on the Katsura 3 and 4 bases (D <= 16,
+# four peels) they differ by under 1e-15 of the largest magnitude involved
+F64_RTOL = 1e-12
+
+
+def _assert_f64_close(found, reference, scale):
+    """Entry by entry within F64_RTOL of scale, or of 1 if that is larger."""
+    bound = F64_RTOL * max(1.0, scale)
+    assert len(found) == len(reference)
+    assert all(abs(x - y) <= bound for x, y in zip(found, reference)), (found, reference)
 
 
 def test_univariate_matrix(qq, mac):
@@ -124,6 +140,7 @@ def _katsura3_with_a_wrong_tail(field):
         pytest.param("fp:1000003", np.int64, id="fp:1000003"),
         pytest.param("fp:2147483647", object, id="fp:2147483647"),
         pytest.param("fp:2305843009213693951", object, id="fp:2305843009213693951"),
+        pytest.param("f64:1e-10", np.float64, id="f64:1e-10"),
     ],
 )
 @pytest.mark.parametrize("build", [non_commuting_basis, _katsura3_with_a_wrong_tail])
@@ -131,12 +148,21 @@ def test_int64_commutators_match_the_reference(build, spec, dtype):
     # one wrong rule tail: the products on ms.array mod p, int64 or, where
     # sums of D products leave int64 (D = 4 and 8 here), Python ints, must
     # yield the columns the column-by-column reference yields, in its order,
-    # as Python ints
+    # as Python ints; on float64 the same positions, as floats, each column
+    # within F64_RTOL of |M_i| |M_j|
     bb = build(parse_field(spec))
-    assert bb.ms.array.dtype == dtype
-    found = list(commutators(bb.ms))
-    assert found and found == reference_commutators(bb.ms)
-    assert all(type(c) is int for *_, col in found for c in col)
+    ms = bb.ms
+    assert ms.array.dtype == dtype
+    found, reference = list(commutators(ms)), reference_commutators(ms)
+    assert found and [c[:3] for c in found] == [c[:3] for c in reference]
+    if dtype != np.float64:
+        assert found == reference
+        assert all(type(c) is int for *_, col in found for c in col)
+        return
+    norms = np.abs(ms.array).max(axis=(1, 2))
+    for (i, j, _, col), (*_, expected) in zip(found, reference):
+        assert all(type(c) is float for c in col)
+        _assert_f64_close(col, expected, norms[i] * norms[j])
 
 
 @pytest.mark.parametrize(
@@ -193,23 +219,22 @@ def test_normal_form_operator_consistency(fp, mac):
 
 @pytest.mark.parametrize("field_name", ["qq", "fp", "f64"])
 def test_apply_is_the_dense_product(request, mac, field_name):
-    # apply walks nonzero column entries and reduces once per coordinate;
-    # it must give, exactly, the product over every entry with field ops
+    # apply is one product with array[i]; it must give the product over
+    # every entry with field ops: exactly on the exact fields, within
+    # F64_RTOL on f64, whose sums it takes in another order
     field = request.getfixturevalue(field_name)
     rng = seeded(43)
     polys, _ = random_regular_system(rng, field, 2, 3)
     bb = compute_border_basis(polys, mac.clone())
     ms = build_mult_system(bb)
-    D = ms.dimension
     for _ in range(5):
         vec = ms.vector_of(normal_form(random_poly(rng, field, 2, 4), ms, bb))
         for i in range(ms.nvars):
-            dense = [field.zero] * D
-            for j, c in enumerate(vec):
-                if not field.is_zero(c):
-                    for k in range(D):
-                        dense[k] = field.normalize(dense[k] + c * ms.matrices[i][j][k])
-            assert ms.apply(i, vec) == dense
+            found, dense = ms.apply(i, vec), reference_apply(ms, i, vec)
+            if field_name == "f64":
+                _assert_f64_close(found, dense, max(map(abs, dense)))
+            else:
+                assert found == dense
 
 
 def test_normal_form_idempotent(fp, mac):
@@ -255,17 +280,17 @@ def test_normal_form_history_independent(request, mac, field_name):
 def test_residues_are_the_matrices_mod_p(spec):
     # over a prime, row j of array[i] is column j of M_i mod p: int64 only
     # where sums of D products fit int64, Python ints otherwise; over qq the
-    # array holds numerators instead, and on f64 there is no array
+    # array holds numerators instead, and on f64 the matrices as float64
     field = parse_field(spec)
     ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
-    if isinstance(field, FloatField):
-        assert ms.array is None
-        return
     if isinstance(field, RationalField):
         assert ms.denominators is not None
         return
     D = ms.dimension
     assert ms.denominators is None and ms.array.shape == (ms.nvars, D, D)
+    if isinstance(field, FloatField):
+        assert ms.array.dtype == np.float64 and ms.array.tolist() == ms.matrices
+        return
     if int64_sums_fit(field, D):
         assert ms.array.dtype == np.int64
     else:
@@ -304,14 +329,6 @@ def test_border_table_lists_the_shifts_leaving_the_basis(choice):
     assert by_hand.outside == build_mult_system(bb).outside == bb.ms.outside == expected
 
 
-def _per_monomial(bb):
-    """A copy of bb.ms without its integer array: `normal_form` then takes the
-    per-monomial path, the reference for the levels on the array."""
-    ms = build_mult_system(bb)
-    ms.array = None
-    return ms
-
-
 def _query_degree(bb, polys):
     # twice the largest input degree plus two: peel chains three or more deep
     return 2 * max(q.degree() for q in polys) + 2
@@ -335,7 +352,7 @@ def _assert_int64_levels_match(bb, polys, projector, rng, count):
     for _ in range(count):
         p = random_poly(rng, bb.field, bb.nvars, deg, density=0.3)
         nf = normal_form(p, bb.ms, bb)
-        assert nf == projector.project(p) == normal_form(p, _per_monomial(bb), bb)
+        assert nf == projector.project(p) == reference_normal_form(p, bb.ms)
         assert all(type(c) is int for c in nf.terms.values())
 
 
@@ -355,15 +372,54 @@ def test_int64_normal_form_matches_the_oracle_on_regular_systems(seed):
 
 def test_int64_normal_form_matches_the_per_monomial_path_on_katsura4():
     # the oracle's elimination at degree 8 takes about a minute; the
-    # per-monomial path, which the oracle checks on the smaller bases, is the
-    # reference
+    # per-monomial reference, which the oracle checks on the smaller bases,
+    # stands in for it
     polys = gen_katsura(parse_field("fp:1000003"), 4)
     bb = compute_border_basis(polys, parse_choice("mac"))
     assert bb.ms.array.dtype == np.int64
     rng = seeded(67)
     for _ in range(4):
         p = random_poly(rng, bb.field, bb.nvars, _query_degree(bb, polys), density=0.3)
-        assert normal_form(p, bb.ms, bb) == normal_form(p, _per_monomial(bb), bb)
+        assert normal_form(p, bb.ms, bb) == reference_normal_form(p, bb.ms)
+
+
+@pytest.mark.parametrize("n", [3, 4])  # dimensions 8, 16
+def test_f64_normal_form_matches_the_reference_on_katsura(n):
+    # the float64 levels on ms.array against the per-monomial reference, which
+    # sums in another order: each coordinate within F64_RTOL of the largest;
+    # both commutator routes find every column commuting
+    f = parse_field("f64:1e-10")
+    bb = compute_border_basis(gen_katsura(f, n), parse_choice("mac"))
+    ms = bb.ms
+    assert bb.dimension == 2**n and ms.array.dtype == np.float64
+    assert list(commutators(ms)) == reference_commutators(ms) == []
+    rng = seeded(80 + n)
+    for _ in range(6):
+        p = random_poly(rng, f, bb.nvars, 4, density=0.3)
+        nf = normal_form(p, ms, bb)
+        assert all(type(c) is float for c in nf.terms.values())
+        expected = ms.vector_of(reference_normal_form(p, ms))
+        _assert_f64_close(ms.vector_of(nf), expected, max(map(abs, expected)))
+
+
+def test_float_overflow_raises_numeric_error():
+    # every rule tail scaled by 1e200: M_0 M_1 and M_0 M_0 hold products
+    # 1e200 * 1e200, beyond float64, so each route on the array raises
+    # NumericError, as FloatField.normalize does, and numpy warns of nothing
+    f = parse_field("f64:1e-10")
+    bb = compute(["x0^2 - 1", "x1^2 - 1"], f)
+    rules = {w: RewritingRule(w, r.tail.scale(1e200)) for w, r in bb.rules.items()}
+    ms = BorderBasis(bb.basis, rules, bb.loops, f, 2).ms
+    x0 = ms.index[1, 0]
+    assert ms.matrices[0][x0] == [1e200, 0.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="float overflow"):
+            list(commutators(ms))
+        with pytest.raises(NumericError, match="float overflow"):
+            normal_form(poly_of("x0^4", f), ms, bb)
+        with pytest.raises(NumericError, match="float overflow"):
+            ms.apply(0, [1e200 if k == x0 else 0.0 for k in range(ms.dimension)])
 
 
 @pytest.mark.parametrize("seed", [1, 9, 11])  # dimensions 2, 8, 8
@@ -380,7 +436,7 @@ def test_normal_form_beyond_int64_sums_matches_the_oracle(seed):
         p = random_poly(rng, bb.field, bb.nvars, _query_degree(bb, polys), density=0.3)
         assert not int64_sums_fit(bb.field, sum(m not in bb.ms.index for m in p.terms))
         nf = normal_form(p, bb.ms, bb)
-        assert nf == projector.project(p) == normal_form(p, _per_monomial(bb), bb)
+        assert nf == projector.project(p) == reference_normal_form(p, bb.ms)
         assert all(type(c) is int for c in nf.terms.values())
 
 
@@ -410,7 +466,7 @@ def test_int64_normal_form_edge_cases(katsura3_fp):
     )
     reduced = Polynomial(f, n, {m: c % P for m, c in raw.terms.items()})
     nf = normal_form(raw, ms, bb)
-    assert nf == normal_form(reduced, ms, bb) == normal_form(raw, _per_monomial(bb), bb)
+    assert nf == normal_form(reduced, ms, bb) == reference_normal_form(raw, bb.ms)
     assert all(type(c) is int and 0 <= c < P for c in nf.terms.values())
 
 
@@ -423,14 +479,14 @@ def _fractional_query(rng, bb, deg):
 
 def _assert_qq_levels_match(bb, p):
     nf = normal_form(p, bb.ms, bb)
-    assert nf == normal_form(p, _per_monomial(bb), bb)
+    assert nf == reference_normal_form(p, bb.ms)
     assert all(type(c) is Fraction for c in nf.terms.values())
     return nf
 
 
 def test_qq_normal_form_matches_the_oracles_on_katsura3(katsura3_fp):
     # at degree 6 the exact elimination oracle takes about 14 s on Katsura 3
-    # over qq: the per-monomial path is the exact reference, and the
+    # over qq: the per-monomial reference is exact, and the
     # elimination mod 1000003 on the same B checks every answer mod p
     fp_bb, _, projector = katsura3_fp
     qq, fp = parse_field("qq"), fp_bb.field
@@ -462,7 +518,7 @@ def test_qq_normal_form_matches_the_exact_oracle_on_katsura3():
 @pytest.mark.parametrize("seed", [5, 9])  # dimensions 4, 8
 def test_qq_normal_form_matches_the_oracle_on_regular_systems(seed):
     # the oracle's elimination on integer rows up to degree 4; deeper queries
-    # against the per-monomial path
+    # against the per-monomial reference
     bb, polys = _regular(seed, "qq")
     assert bb.ms.array.dtype == object
     projector = OracleProjector(bb, 4)
