@@ -22,15 +22,12 @@ from .poly import (
     Monomial,
     Polynomial,
     axpy,
-    border,
     connected_component_of_one,
     divisor_closure,
     format_monomial,
     mono_key,
-    mono_mul,
     mono_one,
     mono_size,
-    mono_var,
 )
 from .quotient import build_mult_system, commutators, normal_form
 
@@ -101,20 +98,26 @@ def _gamma(cf: ChoiceFunction, p: Polynomial) -> Monomial:
 
 
 class _Universe:
-    """The columns of one loop, B+, and the pivot rule; the echelons below
-    store the rows.
+    """The columns of one loop, B+, its shift table and the pivot rule; the
+    echelons below store the rows.
 
     The columns ``cols`` are B+ sorted by `mono_key`, so a larger index is a
     larger monomial; ``col`` maps a monomial to its index, ``border`` flags
-    the border columns, and ``pivot_of`` maps an element's pivot column to
-    its index in insertion order.  Rows are ``{column: coefficient}`` dicts.
+    the border columns, ``shift[i][k]`` is the column of x_i*cols[k] (None
+    outside B+; each x_i*m formed once, as an exponent increment), and
+    ``pivot_of`` maps an element's pivot column to its index in insertion
+    order.  Rows are ``{column: coefficient}`` dicts.
     """
 
     def __init__(self, B, cf: ChoiceFunction, field, n: int):
-        borderset = border(B)
-        self.cols = sorted(B | borderset, key=mono_key)
+        up = {m: [m[:i] + (m[i] + 1,) + m[i + 1 :] for i in range(n)] for m in B}
+        borderset = {w for ws in up.values() for w in ws if w not in up}
+        for m in borderset:
+            up[m] = [m[:i] + (m[i] + 1,) + m[i + 1 :] for i in range(n)]
+        self.cols = sorted(up, key=mono_key)
         self.col = {m: k for k, m in enumerate(self.cols)}
         self.border = [m in borderset for m in self.cols]
+        self.shift = [list(s) for s in zip(*([self.col.get(w) for w in up[m]] for m in self.cols))]
         self.size = [mono_size(m) for m in self.cols]
         self.cf = cf
         self.field = field
@@ -150,8 +153,7 @@ class _Universe:
 
 class _Echelon(_Universe):
     """Reduced echelon of monic rows with distinct pivots over B+, one dict
-    per row updated by `axpy`; ``shift[i][k]`` is the column of x_i*cols[k]
-    (None outside B+).  Serves f64, and the primes and loops the int64
+    per row updated by `axpy`.  Serves f64, and the primes and loops the int64
     kernel does not; over qq it is the reference of `_RationalEchelon`.
     Over f64 `insert_batch` pivots partially and re-picks a pending row's
     pivot only when an insertion changes the row (every row under mix).
@@ -159,7 +161,6 @@ class _Echelon(_Universe):
 
     def __init__(self, B, cf: ChoiceFunction, field, n: int):
         super().__init__(B, cf, field, n)
-        self.shift = [[self.col.get(mono_mul(m, mono_var(n, i))) for m in self.cols] for i in range(n)]
         self.rows = []  # the elements, in insertion order
 
     @property
@@ -184,11 +185,12 @@ class _Echelon(_Universe):
 
     def insert(self, row: dict):
         """Reduce a row and add it; returns the inserted element or None."""
-        f = self.field
         row = self.reduce(row)
-        if not row:
-            return None
-        pivot = self._select_pivot(row)
+        return self._add(row, self._select_pivot(row)) if row else None
+
+    def _add(self, row: dict, pivot: int) -> dict:
+        """Add a reduced nonzero row at the given pivot; returns the element."""
+        f = self.field
         row = axpy(f, {}, f.inv(row[pivot]), row)
         idx = len(self.rows)
         # back-reduce on copies: the caller's frontier keeps the rows as inserted
@@ -203,32 +205,40 @@ class _Echelon(_Universe):
         """Insert a batch; float fields pick the maximal-magnitude pivot first
         (partial pivoting), exact fields keep the given deterministic order.
 
-        Each pending float row keeps the magnitude of its picked pivot.  The
-        pending rows are fully reduced, so after an insertion with pivot
-        column q only the rows holding q change: those are reduced again and
-        re-picked, the others keep their pick.  A randomized choice (mix)
-        re-picks every pending row, so it draws its coin as often and in the
-        same order as picking all rows after every insertion.
+        Each pending float row keeps its picked pivot, where it is inserted,
+        and that pivot's magnitude.  The pending rows are fully reduced, so
+        after an insertion with pivot column q only the rows holding q
+        change: those are reduced again and re-picked, the others keep their
+        pick.  A randomized choice (mix) re-picks every pending row, and the
+        inserted row once more, so its coin is drawn as by `insert`.
         """
         if not isinstance(self.field, FloatField):
             return [q for q in map(self.insert, rows) if q is not None]
         magnitude = self.field.magnitude
         repick_all = self.cf.randomized
+
+        def picked(r):
+            pivot = self._select_pivot(r)
+            return r, pivot, magnitude(r[pivot])
+
         inserted = []
-        pending = [(r, magnitude(r[self._select_pivot(r)])) for r in map(self.reduce, rows) if r]
+        pending = [picked(r) for r in map(self.reduce, rows) if r]
         while pending:
             # pending rows are reduced and nonzero, so each one is inserted
-            mags = [m for _, m in pending]
-            inserted.append(self.insert(pending.pop(mags.index(max(mags)))[0]))
-            q = next(reversed(self.pivot_of))
+            mags = [m for _, _, m in pending]
+            r, q, _ = pending.pop(mags.index(max(mags)))
+            if repick_all:
+                q = self._select_pivot(r)
+            inserted.append(self._add(r, q))
             repicked = []
-            for r, m in pending:
+            for entry in pending:
+                r = entry[0]
                 if repick_all or q in r:
                     r = self.reduce(r)
                     if not r:
                         continue
-                    m = magnitude(r[self._select_pivot(r)])
-                repicked.append((r, m))
+                    entry = picked(r)
+                repicked.append(entry)
             pending = repicked
         return inserted
 
@@ -376,8 +386,8 @@ class _ModpEchelon(_Universe):
         # x_i*cols[src] = cols[dst]; x_i times a row nonzero on a column in
         # outside leaves B+
         self._shifts = []
-        for i in range(n):
-            to = np.array([self.col.get(m[:i] + (m[i] + 1,) + m[i + 1 :], -1) for m in self.cols])
+        for shift in self.shift:
+            to = np.array([-1 if k is None else k for k in shift])
             inside = to >= 0
             self._shifts.append((np.flatnonzero(inside), to[inside], np.flatnonzero(~inside)))
         key = cf.key

@@ -158,6 +158,13 @@ def _run(args, command, text, varnames, field, polys):
     return 0
 
 
+def _seed(text: str) -> int:
+    """The eigen solve's seed: numpy's generator takes only a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: expected a nonnegative integer")
+    return int(text)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_PARSE; argparse's own code 2 would read as
     "not zero-dimensional"."""
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--choice", default="mac", help="drvl | dlex | mac | minsz | mix:<seed>")
         sub.add_argument("--eps", type=float, default=0.0, help="choice-function magnitude filter")
         if name in ("solve", "katsura"):
-            sub.add_argument("--seed", type=int, default=0, help="seed of the eigen solve")
+            sub.add_argument("--seed", type=_seed, default=0, help="seed of the eigen solve (>= 0)")
         sub.add_argument("--json", action="store_true", help="machine-readable report")
         if name in ("basis", "matrices", "katsura"):
             sub.add_argument(

@@ -126,29 +126,12 @@ class Polynomial:
         f = self.field
         return self._of(axpy(f, dict(self.terms), f.normalize(-f.one), other.terms))
 
-    def neg(self) -> "Polynomial":
-        return Polynomial(self.field, self.nvars).sub(self)
-
-    def scale(self, c) -> "Polynomial":
-        if self.field.is_zero(c):
-            return Polynomial(self.field, self.nvars)
-        return self._of(axpy(self.field, {}, c, self.terms))
-
     def mul_monomial(self, m: Monomial, c=None) -> "Polynomial":
         f = self.field
         c = f.one if c is None else c
         return Polynomial(
             f, self.nvars, {mono_mul(m, t): f.normalize(c * v) for t, v in self.terms.items()}
         )
-
-    def mul(self, other: "Polynomial") -> "Polynomial":
-        f = self.field
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                acc[m] = f.normalize(acc.get(m, f.zero) + c1 * c2)
-        return Polynomial(f, self.nvars, acc)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -166,39 +149,6 @@ class Polynomial:
 
 # ---------------------------------------------------------------------------
 # monomial-set combinatorics
-
-
-def prolong(S: set) -> set:
-    """S+ = S union x_1 S union ... union x_n S."""
-    S = set(S)
-    out = set(S)
-    for m in S:
-        n = len(m)
-        for i in range(n):
-            out.add(mono_mul(m, mono_var(n, i)))
-    return out
-
-
-def border(B: set) -> set:
-    """Border of B: prolong(B) minus B."""
-    return prolong(B) - set(B)
-
-
-def neighbours(basis, basis_set):
-    """(k, i, j) with i < j for each b = basis[k] where x_i*b or x_j*b lies
-    outside B.
-
-    These are the only columns where M_i M_j - M_j M_i can be nonzero (when
-    both products lie in B, both sides are the column of x_i*x_j*b), and the
-    origins of the commutation syzygies.
-    """
-    for k, b in enumerate(basis):
-        n = len(b)
-        outside = [mono_mul(b, mono_var(n, i)) not in basis_set for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if outside[i] or outside[j]:
-                    yield k, i, j
 
 
 def b_index(m: Monomial, B: set, memo: dict | None = None) -> int:

@@ -9,20 +9,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fields import NumericError, PrimeField, RationalField, int64_sums_fit
-from .poly import (
-    Monomial,
-    Polynomial,
-    format_monomial,
-    mono_key,
-    mono_mul,
-    mono_var,
-    neighbours,
-)
+from .poly import Monomial, Polynomial, format_monomial, mono_key
 
 if TYPE_CHECKING:
     from .border import BorderBasis
@@ -47,21 +40,20 @@ class MultiplicationSystem:
     denominators in M_i.  Over f64 it is the column j of M_i as float64.
     ``denominators`` is None on every field but ``qq``.
 
-    ``outside[i]`` lists, in basis order, the pairs (k, x_i*B[k]) for each
-    basis position k whose x_i-multiple leaves B: the border shifts that
-    `syzygy.mu` and the syzygy generators read.
+    ``shifts[i][k]`` is the monomial x_i*B[k], and ``outside[i]`` lists, in
+    basis order, the pairs (k, x_i*B[k]) for each basis position k whose
+    x_i-multiple leaves B: the border shifts that `neighbours`, `syzygy.mu`
+    and the syzygy generators read.
     """
 
-    def __init__(self, basis, matrices, field, nvars):
+    def __init__(self, basis, shifts, matrices, field, nvars):
         self.basis = list(basis)
         self.index = {m: j for j, m in enumerate(self.basis)}
+        self.shifts = shifts
         self.matrices = matrices
         self.field = field
         self.nvars = nvars
-        self.outside = []
-        for i in range(nvars):
-            shifts = ((k, mono_mul(b, mono_var(nvars, i))) for k, b in enumerate(self.basis))
-            self.outside.append([(k, w) for k, w in shifts if w not in self.index])
+        self.outside = [[(k, w) for k, w in enumerate(row) if w not in self.index] for row in shifts]
         self.denominators = None
         if isinstance(field, PrimeField):
             dtype = np.int64 if int64_sums_fit(field, len(self.basis)) else object
@@ -125,19 +117,18 @@ class MultiplicationSystem:
 
 def build_mult_system(bb: BorderBasis) -> MultiplicationSystem:
     """Multiplication matrices from a basis and its rewriting rules, which
-    must be exactly one per border monomial."""
+    must be exactly one per border monomial; ``shifts`` forms each x_i*b once."""
     f = bb.field
     n = bb.nvars
     basis = bb.basis
     index = {m: j for j, m in enumerate(basis)}
     D = len(basis)
+    shifts = [[b[:i] + (b[i] + 1,) + b[i + 1 :] for b in basis] for i in range(n)]
     matrices = []
     read = set()  # the border monomials, whose rules the matrices read
-    for i in range(n):
+    for row in shifts:
         cols = []
-        xi = mono_var(n, i)
-        for b in basis:
-            m = mono_mul(b, xi)
+        for m in row:
             col = [f.zero] * D
             if m in index:
                 col[index[m]] = f.one
@@ -162,7 +153,22 @@ def build_mult_system(bb: BorderBasis) -> MultiplicationSystem:
         raise NotABorderBasisError(
             f"rule for {format_monomial(m)}, which is not a border monomial; not a border basis"
         )
-    return MultiplicationSystem(basis, matrices, f, n)
+    return MultiplicationSystem(basis, shifts, matrices, f, n)
+
+
+def neighbours(ms: MultiplicationSystem):
+    """(k, i, j) with i < j for each b = ms.basis[k] where x_i*b or x_j*b lies
+    outside B, read off ``ms.outside``.
+
+    These are the only columns where M_i M_j - M_j M_i can be nonzero (when
+    both products lie in B, both sides are the column of x_i*x_j*b), and the
+    origins of the commutation syzygies.
+    """
+    leaves = [{k for k, _ in pairs} for pairs in ms.outside]
+    for k in range(ms.dimension):
+        for i, j in combinations(range(ms.nvars), 2):
+            if k in leaves[i] or k in leaves[j]:
+                yield k, i, j
 
 
 def _finite(x):
@@ -203,7 +209,7 @@ def commutators(ms: MultiplicationSystem):
                 if nonzero.any():
                     diffs[i, j] = diff, nonzero
     if diffs:
-        for k, i, j in neighbours(ms.basis, ms.index):
+        for k, i, j in neighbours(ms):
             diff, nonzero = diffs.get((i, j), (None, None))
             if diff is not None and nonzero[k].any():
                 col = diff[k].tolist()

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .fields import NumericError, PrimeField
+from .fields import InputError, NumericError, PrimeField
 from .poly import Polynomial, mono_key, mono_one, mono_var
 from .quotient import MultiplicationSystem
 
@@ -104,6 +104,8 @@ def eigen_roots(ms: MultiplicationSystem, seed: int = 0, polys=None) -> RootSet:
     Coordinate j of a root is read as v[x_j]/v[1] when x_j is a basis
     monomial, and as the Rayleigh quotient of M_j^T on v otherwise.
     """
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if isinstance(ms.field, PrimeField):
         raise SolveError("roots over a prime field are not computable numerically")
     n = ms.nvars

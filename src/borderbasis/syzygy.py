@@ -1,10 +1,11 @@
 """Commutation syzygies of a border basis.
 
 The generators are the commutation relations, lifted.  For each neighbour
-column (k, i, j) of `poly.neighbours`, with b = B[k], u1 = x_i*b and
-u2 = x_j*b, let c_i and c_j be column k of M_i and M_j (x_i*b = c_i + f_u1
-and x_j*b = c_j + f_u2, a term f_u absent when u lies in B).  The generator
-is, in closed form over those columns,
+column (k, i, j) of `quotient.neighbours`, with b = B[k], u1 = x_i*b and
+u2 = x_j*b (read off the shift table ``ms.shifts``), let c_i and c_j be
+column k of M_i and M_j (x_i*b = c_i + f_u1 and x_j*b = c_j + f_u2, a term
+f_u absent when u lies in B).  The generator is, in closed form over those
+columns,
 
     x_i*e_u2 - x_j*e_u1 - mu^j(c_i) + mu^i(c_j)
 
@@ -28,13 +29,16 @@ convert.
 
 `reduce_syzygy` descends on the b-index of each term m*e_w, the least |q|
 with m*w = q*b for b in B (`poly.b_index`).  Within one call it keeps three
-memos, dropped when it returns: the b-index of each monomial met, each
-term's (m*w, b-index, |m|, order key), and each exchange partner.  A step
-picks its term in one pass over the residual, so it costs time in proportion
-to the residual, not to the residual times |B|.
+memos and one map, dropped when it returns: the b-index of each monomial
+met, each term's (m*w, b-index, |m|, order key), each exchange partner, and
+B's monomials by size, so a partner is sought among one size only.  A step
+picks its term in one pass over the residual, so it costs time in
+proportion to the residual, not to the residual times |B|.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .border import BorderBasis
 from .fields import NumericError
@@ -50,9 +54,8 @@ from .poly import (
     mono_one,
     mono_size,
     mono_var,
-    neighbours,
 )
-from .quotient import check_commutation
+from .quotient import check_commutation, neighbours
 
 KIND_NEXT_DOOR = "next_door"
 KIND_NON_STAIR = "non_stair"
@@ -134,19 +137,16 @@ def generate_syzygies(bb: BorderBasis):
     when the matrices commute, so `check_commutation` certifies them all at
     once; a failure raises SyzygyError naming (i, j, column).
     """
-    ok, where = check_commutation(bb.ms)
+    f, ms = bb.field, bb.ms
+    ok, where = check_commutation(ms)
     if not ok:
         raise SyzygyError(f"multiplication matrices do not commute at (i, j, column) = {where}")
-    f = bb.field
-    n = bb.nvars
     minus_one = f.normalize(-f.one)
-    zero = Polynomial(f, n)
+    zero = Polynomial(f, bb.nvars)
     out = []
-    for k, i, j in neighbours(bb.basis, bb.basis_set):
-        b = bb.basis[k]
-        u1 = mono_mul(b, mono_var(n, i))
-        u2 = mono_mul(b, mono_var(n, j))
-        in1, in2 = u1 in bb.basis_set, u2 in bb.basis_set
+    for k, i, j in neighbours(ms):
+        b, u1, u2 = bb.basis[k], ms.shifts[i][k], ms.shifts[j][k]
+        in1, in2 = u1 in ms.index, u2 in ms.index
         coeffs = _commutator_column(bb, k, i, j, None if in1 else u1, None if in2 else u2)
         if in2:
             for h in coeffs.values():
@@ -154,7 +154,8 @@ def generate_syzygies(bb: BorderBasis):
                     h[m] = f.normalize(minus_one * c)
         if not (in1 or in2):
             kind = KIND_ACROSS_STREET
-        elif mono_mul(u1, mono_var(n, j)) in bb.basis_set:
+        elif (ms.shifts[j][ms.index[u1]] if in1 else ms.shifts[i][ms.index[u2]]) in ms.index:
+            # x_i*x_j*b, the shift of whichever of u1 and u2 lies in B, is in B
             kind = KIND_NON_STAIR
         else:
             kind = KIND_NEXT_DOOR
@@ -215,15 +216,17 @@ def _lift(m: Monomial, theta: Monomial, bb: BorderBasis) -> dict:
 # reduction of arbitrary syzygies modulo the commutation generators
 
 
-def _exchange_partner(u: Monomial, delta: int, bb: BorderBasis):
+def _exchange_partner(u: Monomial, delta: int, bb: BorderBasis, by_size: dict):
     """Deterministic (m', theta') with m'*theta' = u, given delta = b-index(u):
-    |m'| = delta - 1 and theta' in the border, or (1, u) when u lies in B."""
+    |m'| = delta - 1 and theta' in the border, or (1, u) when u lies in B.
+    ``by_size`` maps a size to the basis monomials of that size in basis
+    order, so the first divisor of size |u| - delta is the first in B."""
     if delta == 0:
         return mono_one(bb.nvars), u
-    # bb.basis is canonically sorted; 1 in B guarantees a divisor at distance delta
-    b = next(b for b in bb.basis if mono_divides(b, u) and mono_size(u) - mono_size(b) == delta)
-    j = next(k for k, e in enumerate(mono_div(u, b)) if e > 0)
-    theta = mono_mul(b, mono_var(bb.nvars, j))
+    # 1 in B guarantees a divisor at distance delta
+    b = next(b for b in by_size[mono_size(u) - delta] if mono_divides(b, u))
+    j = next(k for k, (e, d) in enumerate(zip(u, b)) if e > d)
+    theta = bb.ms.shifts[j][bb.ms.index[b]]
     return mono_div(u, theta), theta
 
 
@@ -240,8 +243,10 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
         raise SyzygyError("input is not a syzygy: Sum h_w f_w != 0")
     f = bb.field
     minus_one = f.normalize(-f.one)
-    # memos for this call: b-indices, each term's data, exchange partners
+    # memos for this call: b-indices, each term's data, exchange partners;
+    # B by size, in basis order (it is sorted by size first)
     indices, terms, partners = {}, {}, {}
+    by_size = {d: list(bs) for d, bs in groupby(bb.basis, mono_size)}
 
     def term(mw):
         """(u = m*w, b-index(u), |m|, order key) of the term m*e_w."""
@@ -270,7 +275,7 @@ def reduce_syzygy(coeffs, bb: BorderBasis) -> dict:
         if best is not None:
             (delta, _, _), _, (m, w), u = best
             if u not in partners:
-                partners[u] = _exchange_partner(u, delta, bb)
+                partners[u] = _exchange_partner(u, delta, bb, by_size)
             m2, w2 = partners[u]
         else:
             # phase 2: all terms normalized; on the largest (b-index, order

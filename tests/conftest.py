@@ -22,15 +22,14 @@ from borderbasis import (
 from borderbasis.border import BorderBasis, RewritingRule
 from borderbasis.poly import (
     axpy,
-    border,
     format_monomial,
     mono_div,
     mono_divides,
     mono_key,
+    mono_mul,
     mono_size,
     mono_var,
     monomials_of_degree_at_most,
-    neighbours,
 )
 from borderbasis.solve import evaluate_complex
 
@@ -112,6 +111,50 @@ def b_index_by_scan(m, B):
     """min{|q| : m = q * b, b in B} by a scan over B: the reference for
     `poly.b_index`."""
     return min(mono_size(m) - mono_size(b) for b in B if mono_divides(b, m))
+
+
+def product(p, q):
+    """p*q, one `Polynomial.mul_monomial` of q per term of p."""
+    acc = Polynomial.zero(p.field, p.nvars)
+    for m, c in p.terms.items():
+        acc = acc.add(q.mul_monomial(m, c))
+    return acc
+
+
+def prolong(S):
+    """S+ = S union x_1 S union ... union x_n S, one monomial product each."""
+    out = set(S)
+    for m in S:
+        n = len(m)
+        for i in range(n):
+            out.add(mono_mul(m, mono_var(n, i)))
+    return out
+
+
+def border(B):
+    """Border of B: prolong(B) minus B."""
+    return prolong(B) - set(B)
+
+
+def shifts_by_products(cols, n):
+    """shift[i][k] = the index in cols of x_i*cols[k] (None when it is not
+    among them), one monomial product each: the reference for the shift
+    tables of `border._Universe` and `MultiplicationSystem`."""
+    col = {m: k for k, m in enumerate(cols)}
+    return [[col.get(mono_mul(m, mono_var(n, i))) for m in cols] for i in range(n)]
+
+
+def neighbours_by_products(basis, basis_set):
+    """(k, i, j) with i < j for each b = basis[k] where x_i*b or x_j*b lies
+    outside B, one monomial product each: the reference for
+    `quotient.neighbours`."""
+    for k, b in enumerate(basis):
+        n = len(b)
+        outside = [mono_mul(b, mono_var(n, i)) not in basis_set for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if outside[i] or outside[j]:
+                    yield k, i, j
 
 
 def stable_by_division(B):
@@ -524,7 +567,7 @@ def reference_commutators(ms):
     f = ms.field
     norms = [max((f.magnitude(c) for col in m for c in col), default=0.0) for m in ms.matrices]
     out = []
-    for k, i, j in neighbours(ms.basis, ms.index):
+    for k, i, j in neighbours_by_products(ms.basis, ms.index):
         a = reference_apply(ms, i, ms.matrices[j][k])
         b = reference_apply(ms, j, ms.matrices[i][k])
         diff = [f.normalize(x - y) for x, y in zip(a, b)]

@@ -17,11 +17,12 @@ from borderbasis import (
 from borderbasis import border as border_module
 from borderbasis.border import RewritingRule, _Echelon, _ModpEchelon, _RationalEchelon
 from borderbasis.fields import float64_sums_fit, int64_sums_fit
-from borderbasis.poly import border, mono_key, monomials_of_degree_at_most
+from borderbasis.poly import connected_component_of_one, mono_key, monomials_of_degree_at_most
 
 from conftest import (
     NotReducibleError,
     _rule_c_polynomial,
+    border,
     check_reducing_family,
     compute,
     exhaustive_rewrite,
@@ -30,6 +31,7 @@ from conftest import (
     random_regular_system,
     reduce_by_rules,
     seeded,
+    shifts_by_products,
     stable_by_division,
 )
 
@@ -102,7 +104,7 @@ def test_interreduce_dependent(qq, mac):
     B = {(0, 0), (1, 0)}
     p = poly_of("x0^2 - x0", qq)
     ech = _Echelon(B, mac, qq, 2)
-    assert len(ech.insert_batch([ech.row(p), ech.row(p.scale(qq.from_int(2)))])) == 1
+    assert len(ech.insert_batch([ech.row(p), ech.row(p.mul_monomial((0, 0), qq.from_int(2)))])) == 1
     assert ech.poly(ech.elements[0]).support() - B == {(2, 0)}
 
 
@@ -324,6 +326,38 @@ def test_non_order_ideal_bases_are_certified(fp):
 
 
 CHOICES = ["drvl", "dlex", "mac", "minsz", "mix:1"]
+
+
+def _bases_connected_to_one():
+    """The non-order-ideal basis of test_syzygy, then seeded random sets
+    connected to 1 in one to three variables."""
+    from test_syzygy import NON_ORDER_IDEAL
+
+    yield compute(NON_ORDER_IDEAL, parse_field("qq"), choice="drvl").basis_set
+    rng = seeded(37)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        monos = monomials_of_degree_at_most(n, 4)
+        sample = set(rng.sample(monos, rng.randint(1, len(monos))))
+        yield connected_component_of_one(sample | {(0,) * n})
+
+
+def test_universe_tables_match_the_products():
+    # B+, its border flags and the shift table, formed once per monomial as
+    # exponent increments, against one monomial product each; the int64
+    # kernel's (src, dst, outside) triples are the same table
+    field = parse_field("fp:65537")
+    for B in _bases_connected_to_one():
+        n = len(next(iter(B)))
+        for kernel in (_Echelon, _ModpEchelon):
+            ech = kernel(B, parse_choice("drvl"), field, n)
+            assert ech.cols == sorted(B | border(B), key=mono_key)
+            assert ech.border == [m not in B for m in ech.cols]
+            assert ech.shift == shifts_by_products(ech.cols, n)
+        for (src, dst, outside), row in zip(ech._shifts, ech.shift):
+            assert src.tolist() == [k for k, t in enumerate(row) if t is not None]
+            assert dst.tolist() == [t for t in row if t is not None]
+            assert outside.tolist() == [k for k, t in enumerate(row) if t is None]
 
 
 def _random_batch(rng, field, ncols, size, coeff):
@@ -554,7 +588,7 @@ def test_float_basis_repicks_only_changed_rows(monkeypatch):
     monkeypatch.setattr(border_module._Universe, "_select_pivot", counted)
     bb = compute_border_basis(gen_katsura(parse_field("f64:1e-10"), 4), parse_choice("mac"))
     assert bb.dimension == 16
-    assert len(calls) <= 1700
+    assert len(calls) <= 1400
 
 
 def _qq_systems(rng):

@@ -256,6 +256,24 @@ def test_cli_usage_error_exits_1(capsys, sysfile):
 
 @pytest.mark.parametrize(
     "argv",
+    [["solve", "--seed", "-1", "SYS"], ["katsura", "-n", "2", "--seed", "-1", "solve"]],
+    ids=["solve", "katsura"],
+)
+def test_cli_rejects_a_negative_seed(capsys, monkeypatch, sysfile, argv):
+    # a usage error before any computation, not numpy's ValueError after the
+    # basis; the library's eigen solve rejects it as an input error
+    monkeypatch.setattr(cli, "compute_border_basis", lambda *args: pytest.fail("computed a basis"))
+    with pytest.raises(SystemExit) as exc:
+        main([sysfile if a == "SYS" else a for a in argv])
+    assert exc.value.code == 1
+    assert "invalid seed '-1'" in capsys.readouterr().err
+    bb = borderbasis.compute_border_basis(gen_katsura(fields.parse_field("qq"), 2), borderbasis.parse_choice("mac"))
+    with pytest.raises(fields.InputError, match="seed"):
+        solve.eigen_roots(bb.ms, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["basis", "--seed", "1"],
         ["matrices", "--syzygies"],

@@ -20,12 +20,13 @@ from borderbasis import (
 )
 from borderbasis.border import BorderBasis, RewritingRule
 from borderbasis.fields import FloatField, RationalField, int64_sums_fit
-from borderbasis.poly import mono_key, mono_mul, mono_var
-from borderbasis.quotient import commutators
+from borderbasis.poly import mono_key, mono_mul, mono_one, mono_var
+from borderbasis.quotient import commutators, neighbours
 
 from conftest import (
     OracleProjector,
     compute,
+    neighbours_by_products,
     non_commuting_basis,
     oracle_normal_form,
     poly_of,
@@ -123,7 +124,7 @@ def test_printed_family_fails_commutation(qq, mac):
     # also reaches (acceptance 1)
     expected = poly_of("x0*x1 - x1", qq)
     columns = [ms.poly_of(col) for _, _, _, col in commutators(ms)]
-    assert any(c.scale(qq.inv(c.terms[(1, 1)])) == expected for c in columns)
+    assert any(c.mul_monomial(mono_one(2), qq.inv(c.terms[(1, 1)])) == expected for c in columns)
 
 
 def _katsura3_with_a_wrong_tail(field):
@@ -325,8 +326,31 @@ def test_border_table_lists_the_shifts_leaving_the_basis(choice):
     n = bb.nvars
     shifts = [[(k, mono_mul(b, mono_var(n, i))) for k, b in enumerate(bb.basis)] for i in range(n)]
     expected = [[(k, w) for k, w in row if w not in bb.basis_set] for row in shifts]
-    by_hand = MultiplicationSystem(bb.basis, bb.ms.matrices, bb.field, n)
+    by_hand = MultiplicationSystem(bb.basis, bb.ms.shifts, bb.ms.matrices, bb.field, n)
     assert by_hand.outside == build_mult_system(bb).outside == bb.ms.outside == expected
+
+
+def _shift_table_bases():
+    """Katsura 3 over qq, the non-order-ideal basis of test_syzygy, and the
+    bases of seeded random regular systems in one to three variables."""
+    from test_syzygy import NON_ORDER_IDEAL
+
+    yield compute_border_basis(gen_katsura(parse_field("qq"), 3), parse_choice("mac"))
+    yield compute(NON_ORDER_IDEAL, parse_field("qq"), choice="drvl")
+    rng = seeded(41)
+    fp = parse_field("fp:65537")
+    for _ in range(12):
+        polys, _ = random_regular_system(rng, fp, rng.randint(1, 3), 3)
+        yield compute_border_basis(polys, parse_choice(rng.choice(["drvl", "dlex", "mac"])))
+
+
+def test_shift_table_and_neighbours_match_the_products():
+    # ms.shifts[i][k] = x_i*B[k], and the neighbour columns read off
+    # ms.outside are those of one monomial product each
+    for bb in _shift_table_bases():
+        ms, n = bb.ms, bb.nvars
+        assert ms.shifts == [[mono_mul(b, mono_var(n, i)) for b in ms.basis] for i in range(n)]
+        assert list(neighbours(ms)) == list(neighbours_by_products(ms.basis, bb.basis_set))
 
 
 def _query_degree(bb, polys):
@@ -408,7 +432,7 @@ def test_float_overflow_raises_numeric_error():
     # NumericError, as FloatField.normalize does, and numpy warns of nothing
     f = parse_field("f64:1e-10")
     bb = compute(["x0^2 - 1", "x1^2 - 1"], f)
-    rules = {w: RewritingRule(w, r.tail.scale(1e200)) for w, r in bb.rules.items()}
+    rules = {w: RewritingRule(w, r.tail.mul_monomial(mono_one(2), 1e200)) for w, r in bb.rules.items()}
     ms = BorderBasis(bb.basis, rules, bb.loops, f, 2).ms
     x0 = ms.index[1, 0]
     assert ms.matrices[0][x0] == [1e200, 0.0, 0.0, 0.0]
@@ -537,7 +561,7 @@ def test_qq_normal_form_edge_cases(qq):
     inside = Polynomial(f, n, {b: Fraction(k + 1, 3) for k, b in enumerate(bb.basis)})
     assert normal_form(inside, ms, bb) == inside
     # terms in B and outside it whose sum cancels in some coordinates
-    member = bb.rules[min(bb.rules, key=mono_key)].poly().scale(Fraction(-5, 7))
+    member = bb.rules[min(bb.rules, key=mono_key)].poly().mul_monomial(mono_one(n), Fraction(-5, 7))
     assert normal_form(member, ms, bb).is_zero()
     p = member.add(inside)
     assert _assert_qq_levels_match(bb, p) == inside
