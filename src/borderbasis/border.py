@@ -106,7 +106,9 @@ class _Universe:
     the border columns, ``shift[i][k]`` is the column of x_i*cols[k] (None
     outside B+; each x_i*m formed once, as an exponent increment), and
     ``pivot_of`` maps an element's pivot column to its index in insertion
-    order.  Rows are ``{column: coefficient}`` dicts.
+    order.  Under a choice with a sort key (cf.key), ``rank[k]`` orders the
+    columns by degree, then border before basis, then the key; otherwise it
+    is None.  Rows are ``{column: coefficient}`` dicts.
     """
 
     def __init__(self, B, cf: ChoiceFunction, field, n: int):
@@ -119,17 +121,21 @@ class _Universe:
         self.border = [m in borderset for m in self.cols]
         self.shift = [list(s) for s in zip(*([self.col.get(w) for w in up[m]] for m in self.cols))]
         self.size = [mono_size(m) for m in self.cols]
+        self.rank = None
+        if cf.key is not None:
+            order = sorted(range(len(up)), key=lambda k: (self.size[k], self.border[k], cf.key(self.cols[k])))
+            self.rank = sorted(range(len(up)), key=order.__getitem__)  # k's place in order
         self.cf = cf
         self.field = field
         self.n = n
         self.pivot_of = {}  # pivot column -> index
 
-    def row(self, p: Polynomial):
-        """p as a row, or None when its support leaves B+."""
-        keys = [self.col.get(m) for m in p.terms]
+    def row(self, terms: dict):
+        """A monomial-keyed map as a row, or None when its support leaves B+."""
+        keys = [self.col.get(m) for m in terms]
         if None in keys:
             return None
-        return dict(zip(keys, p.terms.values()))
+        return dict(zip(keys, terms.values()))
 
     def poly(self, row: dict) -> Polynomial:
         return Polynomial(self.field, self.n, {self.cols[k]: c for k, c in row.items()})
@@ -137,16 +143,15 @@ class _Universe:
     def _select_pivot(self, row: dict) -> int:
         """Pivot of a row: a degree-maximal border column when one exists (so
         the element can serve as a rewriting rule), the choice-function pick
-        otherwise.  A choice with a sort key (cf.key) picks by it directly:
-        rows hold no zero coefficient, so the key's maximum is gamma's pick.
+        otherwise.  With a rank that is the row's top-ranked column: rows hold
+        no zero coefficient, so it is gamma's pick.
         """
+        if self.rank is not None:
+            return max(row, key=self.rank.__getitem__)
         d = max(self.size[k] for k in row)
         top_border = [k for k in row if self.border[k] and self.size[k] == d]
         if len(top_border) == 1:
             return top_border[0]
-        key = self.cf.key
-        if key is not None:
-            return max(top_border or row, key=lambda k: key(self.cols[k]))
         pick = self.poly({k: row[k] for k in top_border or row})
         return self.col[_gamma(self.cf, pick)]
 
@@ -290,8 +295,7 @@ class _RationalEchelon(_Echelon):
     E[q]), over its content.  The reduced row of a span is unique, so the
     pivots, the elements (``rows``; each stands for E/E[pivot]) and the
     returned monic rows are the dict echelon's, entry for entry.  Only a
-    choice that reads coefficients (cf.key is None) needs s, to see a row's
-    true values.
+    choice without a rank needs s, to see a row's true values.
     """
 
     @property
@@ -311,7 +315,7 @@ class _RationalEchelon(_Echelon):
         R, s = self.reduce(R, s)
         if not R:
             return None
-        pivot = self._select_pivot(R if self.cf.key is not None else {k: s * v for k, v in R.items()})
+        pivot = self._select_pivot(R if self.rank is not None else {k: s * v for k, v in R.items()})
         d = R[pivot]
         for j, E in enumerate(self.rows):
             c = E.get(pivot)
@@ -372,11 +376,11 @@ class _ModpEchelon(_Universe):
     the rank-1 updates and the multiples stay int64.  The surviving rows
     then take their pivots in order, as the dict echelon inserts them; each
     is made monic and cleared from the elements by one rank-1 update mod p.
-    Under drvl, dlex and mac the pivot is the argmax of a rank by degree,
-    then border before basis, then the choice key, which is what
-    `_select_pivot` picks; minsz and mix call it on the row as a dict, so mix
-    draws its coin as often and in the same order.  The x_i-multiples of a
-    frontier come from the shift table in one step per variable.
+    A row takes the top of the universe's rank among its nonzero columns,
+    as `_select_pivot` picks; without a rank it calls `_select_pivot` on the
+    row as a dict, so mix draws its coin as often and in the same order.
+    The x_i-multiples of a frontier come from the shift table in one step
+    per variable.
     """
 
     def __init__(self, B, cf: ChoiceFunction, field, n: int):
@@ -390,12 +394,6 @@ class _ModpEchelon(_Universe):
             to = np.array([-1 if k is None else k for k in shift])
             inside = to >= 0
             self._shifts.append((np.flatnonzero(inside), to[inside], np.flatnonzero(~inside)))
-        key = cf.key
-        self._rank = None
-        if key is not None:
-            order = sorted(range(size), key=lambda k: (self.size[k], self.border[k], key(self.cols[k])))
-            self._rank = np.empty(size, np.int64)
-            self._rank[order] = np.arange(size)
         self._E = np.zeros((size, size), np.int64)  # rows [0, len(pivot_of)) are the elements
         self._P = np.zeros(size, np.intp)  # their pivot columns
         self._in_float = float64_sums_fit(field, size)
@@ -442,11 +440,6 @@ class _ModpEchelon(_Universe):
         nonzero = rows.any(axis=1)
         return rows if nonzero.all() else rows[nonzero]
 
-    def _pivot(self, row, nonzero) -> int:
-        if self._rank is not None:
-            return int(nonzero[self._rank[nonzero].argmax()])
-        return self._select_pivot(dict(zip(nonzero.tolist(), row[nonzero].tolist())))
-
     def _eliminate(self, rows):
         """Insert rows reduced by the elements, in order and in place; returns
         the inserted ones as inserted.
@@ -464,10 +457,13 @@ class _ModpEchelon(_Universe):
             if e > e0:
                 row -= row[P[e0:e]] @ E[e0:e]
                 row %= p
-            nonzero = row.nonzero()[0]
-            if not len(nonzero):
+            nonzero = row.nonzero()[0].tolist()
+            if not nonzero:
                 continue
-            pivot = self._pivot(row, nonzero)
+            if self.rank is not None:
+                pivot = max(nonzero, key=self.rank.__getitem__)
+            else:
+                pivot = self._select_pivot(dict(zip(nonzero, row[nonzero].tolist())))
             row *= pow(int(row[pivot]), -1, p)
             row %= p
             c = E[:e, pivot]
@@ -578,9 +574,11 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
 
     loop_limit = sum(max(p.degree(), 1) for p in gens) + n + 10
 
-    pool = list(dict.fromkeys(gens))
+    # the pool: each monomial-keyed coefficient map once, in first-seen order
+    pool = {}
     support = set()
     for p in gens:
+        pool.setdefault(frozenset(p.terms.items()), p.terms)
         support |= p.support()
     B = divisor_closure(support) | {one}
     blacklist = set()
@@ -595,57 +593,52 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
         else:
             kernel = _Echelon
         ech = kernel(B, cf, field, n)
-        rows = ech.saturate(pool)
-        elements = [ech.poly(e) for e in rows]
-        pool = list(dict.fromkeys(pool + elements))
+        rows = ech.saturate(pool.values())
+        elements = [{ech.cols[k]: c for k, c in e.items()} for e in rows]
+        for e in elements:
+            pool.setdefault(frozenset(e.items()), e)
 
         # shrink move: any element pivoting on a basis monomial is a
         # dependency witness against that monomial
-        shrink = {ech.cols[k] for k in ech.pivot_of if not ech.border[k]}
-        if shrink:
-            if one in shrink:
-                raise InconsistentSystemError(elements[ech.pivot_of[ech.col[one]]])
-            blacklist |= shrink
-            B = connected_component_of_one(B - shrink)
-            continue
+        shrink = {ech.cols[k]: elements[idx] for k, idx in ech.pivot_of.items() if not ech.border[k]}
+        if not shrink:
+            # after full back-reduction a second border monomial in an element
+            # is no pivot, so it stays uncovered and the grow move takes it
+            single = {
+                k: rows[idx] for k, idx in ech.pivot_of.items() if sum(ech.border[c] for c in rows[idx]) == 1
+            }
+            uncovered = [m for k, m in enumerate(ech.cols) if ech.border[k] and k not in single]
+            if uncovered:
+                growable = [m for m in uncovered if m not in blacklist]
+                if not growable:
+                    # every candidate was removed before; re-admit the smallest
+                    # one (the loop guard bounds any shrink/grow oscillation)
+                    growable = uncovered[:1]
+                    blacklist.discard(growable[0])
+                dmin = mono_size(growable[0])
+                B = B | {m for m in growable if mono_size(m) == dmin}
+                continue
 
-        # after full back-reduction a second border monomial in an element is
-        # no pivot, so it stays uncovered and the grow move takes it
-        rules = {}
-        for k, idx in ech.pivot_of.items():
-            if sum(ech.border[c] for c in rows[idx]) == 1:
-                rules[ech.cols[k]] = RewritingRule.from_poly(elements[idx], ech.cols[k])
+            # certificate, on rules built only now (a grow move drops them): a
+            # nonzero commutator column is an ideal element in <B>
+            rules = {ech.cols[k]: RewritingRule.from_poly(ech.poly(e), ech.cols[k]) for k, e in single.items()}
+            result = BorderBasis(B, rules, loops, field, n)
+            ms = result.ms
+            constraints = [ms.poly_of(col) for _, _, _, col in commutators(ms)]
+            if not constraints:
+                constraints = [r for r in (normal_form(p, ms, result) for p in gens) if not r.is_zero()]
+            if not constraints:
+                return result
+            # each constraint shrinks B at its choice-function pick
+            for r in constraints:
+                pool.setdefault(frozenset(r.terms.items()), r.terms)
+                shrink.setdefault(_gamma(cf, r), r.terms)
 
-        uncovered = [m for k, m in enumerate(ech.cols) if ech.border[k] and m not in rules]
-        if uncovered:
-            growable = [m for m in uncovered if m not in blacklist]
-            if not growable:
-                # every candidate was removed before; re-admit the smallest
-                # one (the loop guard bounds any shrink/grow oscillation)
-                growable = uncovered[:1]
-                blacklist.discard(growable[0])
-            dmin = mono_size(growable[0])
-            B = B | {m for m in growable if mono_size(m) == dmin}
-            continue
-
-        # certificate: a nonzero commutator column is an ideal element in <B>
-        result = BorderBasis(B, rules, loops, field, n)
-        ms = result.ms
-        new_constraints = [ms.poly_of(col) for _, _, _, col in commutators(ms)]
-        if not new_constraints:
-            for p in gens:
-                r = normal_form(p, ms, result)
-                if not r.is_zero():
-                    new_constraints.append(r)
-        if new_constraints:
-            pool = list(dict.fromkeys(pool + new_constraints))
-            shrink = [_gamma(cf, r) for r in new_constraints]
-            if one in shrink:
-                raise InconsistentSystemError(new_constraints[shrink.index(one)])
-            blacklist.update(shrink)
-            B = connected_component_of_one(B - set(shrink))
-            continue
-        return result
+        # both shrink moves: each witness removes its monomial from B
+        if one in shrink:
+            raise InconsistentSystemError(Polynomial(field, n, shrink[one]))
+        blacklist |= shrink.keys()
+        B = connected_component_of_one(B - shrink.keys())
 
     raise NotZeroDimensionalError(
         f"loop guard ({loop_limit}) exceeded; the ideal is possibly not zero-dimensional"

@@ -34,7 +34,8 @@ def mac_key(m: Monomial):
     return (mono_size(m), max(m), m)
 
 
-# the sort keys of the choice functions whose pick reads only the support
+# the sort keys of the choice functions whose pick, without an eps filter,
+# reads only the support
 _KEYS = {"drvl": grevlex_key, "dlex": deglex_key, "mac": mac_key}
 
 
@@ -50,11 +51,6 @@ class ChoiceFunction:
         self.seed = seed
         self.eps = eps
         self._rng = random.Random(seed) if kind == "mix" else None
-
-    @property
-    def support_only(self) -> bool:
-        """True when the pick depends only on the support, never on coefficients."""
-        return self.kind in _KEYS
 
     @property
     def key(self):

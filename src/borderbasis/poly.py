@@ -70,7 +70,7 @@ def axpy(field: Field, acc: dict, c, terms: dict) -> dict:
 class Polynomial:
     """Immutable sparse polynomial over a coefficient field, keyed by monomials."""
 
-    __slots__ = ("field", "nvars", "terms", "_hash")
+    __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: Field, nvars: int, terms=None):
         self.field = field
@@ -81,7 +81,6 @@ class Polynomial:
                 if not field.is_zero(c):
                     clean[m] = c
         self.terms = clean
-        self._hash = None
 
     @classmethod
     def zero(cls, field, nvars):
@@ -116,7 +115,7 @@ class Polynomial:
     def _of(self, terms: dict) -> "Polynomial":
         """A polynomial of this ring over terms already nonzero (no filter)."""
         p = Polynomial.__new__(Polynomial)
-        p.field, p.nvars, p.terms, p._hash = self.field, self.nvars, terms, None
+        p.field, p.nvars, p.terms = self.field, self.nvars, terms
         return p
 
     def add(self, other: "Polynomial") -> "Polynomial":
@@ -137,11 +136,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
 
     def __repr__(self):
         return f"Polynomial({format_poly(self, None)})"
