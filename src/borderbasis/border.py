@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .choice import ChoiceFunction, NoChoosableMonomial
-from .fields import FloatField, RationalField, float64_sums_fit, int64_sums_fit
+from .fields import FloatField, RationalField, int64_sums_fit, residue_product
 from .poly import (
     Monomial,
     Polynomial,
@@ -66,20 +66,20 @@ class RewritingRule:
         return Polynomial.monomial(f, self.tail.nvars, self.lead).sub(self.tail)
 
     @classmethod
-    def from_poly(cls, p: Polynomial, lead: Monomial) -> "RewritingRule":
-        """The rule lead -> lead - p/c for c = p's coefficient at lead, built
-        in one pass: with s = -1/c (-1 when p is monic) the tail holds s*a for
-        each other coefficient a of p and, first, the lead's 1 + s*c, which
-        only float rounding leaves nonzero.  A coefficient that `axpy`'s zero
-        test calls zero is dropped."""
-        f = p.field
-        c = p.terms[lead]
-        s = f.normalize(-f.inv(c))
-        tail = {lead: f.normalize(f.one + s * c)}
-        for m, a in p.terms.items():
+    def from_terms(cls, field, nvars: int, terms: dict, lead: Monomial) -> "RewritingRule":
+        """The rule lead -> lead - p/c, p the polynomial of the monomial map
+        ``terms`` and c its coefficient at lead, built in one pass: with
+        s = -1/c (-1 when p is monic) the tail holds s*a for each other
+        coefficient a of p and, first, the lead's 1 + s*c, which only float
+        rounding leaves nonzero.  A coefficient that `axpy`'s zero test calls
+        zero is dropped."""
+        c = terms[lead]
+        s = field.normalize(-field.inv(c))
+        tail = {lead: field.normalize(field.one + s * c)}
+        for m, a in terms.items():
             if m != lead:
-                tail[m] = f.normalize(s * a)
-        return cls(lead, Polynomial(f, p.nvars, tail))
+                tail[m] = field.normalize(s * a)
+        return cls(lead, Polynomial(field, nvars, tail))
 
     def __repr__(self):
         return f"RewritingRule({format_monomial(self.lead)} -> {self.tail!r})"
@@ -350,17 +350,6 @@ _KERNEL_MIN_SIZE = 90
 _BLOCK = 1 << 15
 
 
-def _residue_product(a, b, in_float: bool):
-    """a @ b for int64 arrays of residues, exactly.  With ``in_float`` (the
-    field's sums of a.shape[1] products are exact in float64,
-    `float64_sums_fit`) it is one float64 BLAS product, whose entries are
-    the integers themselves, cast back to int64; otherwise numpy's int64
-    product, which does not use BLAS."""
-    if in_float:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return a @ b
-
-
 class _ModpEchelon(_Universe):
     """The echelon over Z/p as int64 residues: one dense row per element over
     the columns of B+.  Used when the field's sums of |B+| products fit int64
@@ -370,12 +359,11 @@ class _ModpEchelon(_Universe):
     A batch is first reduced against the elements in one product,
     R - R[:, pivots] @ E mod p, which is exact because the elements are fully
     back-reduced, so the reduced row of a span is unique.  The product runs
-    over the pivots some row of the batch holds, and where the field's sums
-    of |B+| products are exact in float64 (`float64_sums_fit`) it is a
-    float64 BLAS product of the residues (`_residue_product`); the elements,
-    the rank-1 updates and the multiples stay int64.  The surviving rows
-    then take their pivots in order, as the dict echelon inserts them; each
-    is made monic and cleared from the elements by one rank-1 update mod p.
+    over the pivots some row of the batch holds, as one `residue_product`;
+    the elements, the rank-1 updates and the multiples stay int64.  The
+    surviving rows then take their pivots in order, as the dict echelon
+    inserts them; each is made monic and cleared from the elements by one
+    rank-1 update mod p.
     A row takes the top of the universe's rank among its nonzero columns,
     as `_select_pivot` picks; without a rank it calls `_select_pivot` on the
     row as a dict, so mix draws its coin as often and in the same order.
@@ -396,7 +384,6 @@ class _ModpEchelon(_Universe):
             self._shifts.append((np.flatnonzero(inside), to[inside], np.flatnonzero(~inside)))
         self._E = np.zeros((size, size), np.int64)  # rows [0, len(pivot_of)) are the elements
         self._P = np.zeros(size, np.intp)  # their pivot columns
-        self._in_float = float64_sums_fit(field, size)
 
     @property
     def elements(self):
@@ -429,13 +416,13 @@ class _ModpEchelon(_Universe):
     def _reduce(self, rows):
         """The rows reduced by the elements, in place, without the zero rows:
         R - R[:, P[used]] @ E[used] mod p over the elements whose pivot column
-        some row holds, as one `_residue_product`."""
+        some row holds, as one `residue_product`."""
         e = len(self.pivot_of)
         if e:
             held = rows[:, self._P[:e]]
             used = held.any(axis=0).nonzero()[0]
             if len(used):
-                rows -= _residue_product(held[:, used], self._E[used], self._in_float)
+                rows -= residue_product(held[:, used], self._E[used], self.field)
                 rows %= self.p
         nonzero = rows.any(axis=1)
         return rows if nonzero.all() else rows[nonzero]
@@ -605,7 +592,7 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
             # after full back-reduction a second border monomial in an element
             # is no pivot, so it stays uncovered and the grow move takes it
             single = {
-                k: rows[idx] for k, idx in ech.pivot_of.items() if sum(ech.border[c] for c in rows[idx]) == 1
+                k: idx for k, idx in ech.pivot_of.items() if sum(ech.border[c] for c in rows[idx]) == 1
             }
             uncovered = [m for k, m in enumerate(ech.cols) if ech.border[k] and k not in single]
             if uncovered:
@@ -621,7 +608,9 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
 
             # certificate, on rules built only now (a grow move drops them): a
             # nonzero commutator column is an ideal element in <B>
-            rules = {ech.cols[k]: RewritingRule.from_poly(ech.poly(e), ech.cols[k]) for k, e in single.items()}
+            rules = {
+                ech.cols[k]: RewritingRule.from_terms(field, n, elements[i], ech.cols[k]) for k, i in single.items()
+            }
             result = BorderBasis(B, rules, loops, field, n)
             ms = result.ms
             constraints = [ms.poly_of(col) for _, _, _, col in commutators(ms)]

@@ -13,6 +13,8 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Malformed or out-of-range input: the base of every exit-1 error."""
@@ -31,9 +33,31 @@ class FieldDivisionError(FieldError):
     """Division by a (field-)zero element; signals a pivot failure upstream."""
 
 
+# Miller-Rabin to these bases is exact below 3.3*10^24 (Sorenson & Webster,
+# Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
-    """Trial division; PrimeField asks only below 2^31 (under 50,000 divisions)."""
-    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+    """Miller-Rabin to the 13 prime bases 2 ... 41: exact below 3.3*10^24,
+    a strong probable-prime test beyond."""
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    if p < 2:
+        return False
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Field:
@@ -128,9 +152,8 @@ class PrimeField(Field):
     """Z/p with least nonnegative residues; inversion via extended Euclid."""
 
     def __init__(self, p: int):
-        if p < 2**31 and not is_prime(p):
+        if not is_prime(p):
             raise FieldError(f"modulus {p} is not prime")
-        # above 2^31 primality is trusted (documented in the CLI help)
         self.p = p
         self.name = f"fp:{p}"
         self.zero = 0
@@ -165,21 +188,29 @@ class PrimeField(Field):
 
 def int64_sums_fit(field: Field, terms: int) -> bool:
     """True when ``field`` is a prime field whose sums of ``terms`` products of
-    two residues fit int64: terms*(p-1)^2 < 2^63.  The echelon runs on int64
-    arrays mod p only then, and reduces its blocks by an int64 product where
-    `float64_sums_fit` does not hold; the commutation check and the normal
-    form run on int64 arrays then, and on object arrays of Python ints
-    otherwise."""
+    two residues fit int64: terms*(p-1)^2 < 2^63."""
     return isinstance(field, PrimeField) and terms * (field.p - 1) ** 2 < 2**63
 
 
 def float64_sums_fit(field: Field, terms: int) -> bool:
     """True when ``field`` is a prime field whose sums of ``terms`` products of
     two residues are exact in float64: terms*(p-1)^2 < 2^53, so every partial
-    sum is an integer float64 holds, in any order of summation (Dumas, Giorgi
-    & Pernet, ACM TOMS 35, 2008).  The int64 echelon then reduces its blocks
-    by a float64 BLAS product."""
+    sum is an integer float64 holds, in any order of summation."""
     return isinstance(field, PrimeField) and terms * (field.p - 1) ** 2 < 2**53
+
+
+def residue_product(a, b, field: PrimeField):
+    """a @ b mod p for numpy arrays of residues, exactly: one float64 BLAS
+    product where its sums are exact in float64 (Dumas, Giorgi & Pernet, ACM
+    TOMS 35, 2008), numpy's int64 product where they fit int64, Python ints
+    beyond.  int64 when (p-1)^2 < 2^63, else an object array of Python ints."""
+    terms = a.shape[-1]
+    if float64_sums_fit(field, terms):
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % field.p
+    if int64_sums_fit(field, terms):
+        return a @ b % field.p
+    out = a.astype(object) @ b.astype(object) % field.p
+    return out.astype(np.int64) if int64_sums_fit(field, 1) else out
 
 
 DEFAULT_EPS = 1e-10

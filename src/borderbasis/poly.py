@@ -214,24 +214,6 @@ def divisor_closure(monomials: Iterable[Monomial]) -> set:
     return out
 
 
-def monomials_of_degree_at_most(n: int, d: int):
-    """All monomials in n variables of size <= d, in canonical order."""
-    out = []
-
-    def rec(prefix, rest, budget):
-        if rest == 1:
-            chunk.append(prefix + (budget,))
-            return
-        for e in range(budget + 1):
-            rec(prefix + (e,), rest - 1, budget - e)
-
-    for total in range(d + 1):
-        chunk = []
-        rec((), n, total)
-        out.extend(sorted(chunk, key=mono_key))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # parsing and printing
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fields import NumericError, PrimeField, RationalField, int64_sums_fit
+from .fields import NumericError, PrimeField, RationalField, int64_sums_fit, residue_product
 from .poly import Monomial, Polynomial, format_monomial, mono_key
 
 if TYPE_CHECKING:
@@ -34,8 +34,8 @@ class MultiplicationSystem:
     ``array`` holds the same matrices once more as one numpy array of shape
     (n, D, D), the route of `commutators`, `normal_form` and `apply` on
     every field.  Over Z/p ``array[i][j]`` is the column j of M_i mod p:
-    int64 when sums of D products of residues fit (`int64_sums_fit`), a
-    numpy object array of Python ints otherwise.  Over ``qq`` it is the
+    int64 when (p-1)^2 < 2^63, a numpy object array of Python ints
+    otherwise.  Over ``qq`` it is the
     column j of d_i * M_i, with d_i = ``denominators[i]`` the lcm of the
     denominators in M_i.  Over f64 it is the column j of M_i as float64.
     ``denominators`` is None on every field but ``qq``.
@@ -56,7 +56,7 @@ class MultiplicationSystem:
         self.outside = [[(k, w) for k, w in enumerate(row) if w not in self.index] for row in shifts]
         self.denominators = None
         if isinstance(field, PrimeField):
-            dtype = np.int64 if int64_sums_fit(field, len(self.basis)) else object
+            dtype = np.int64 if int64_sums_fit(field, 1) else object
             self.array = np.array(matrices, dtype=dtype) % field.p
         elif isinstance(field, RationalField):
             self.denominators = [math.lcm(*(c.denominator for col in m for c in col)) for m in matrices]
@@ -81,7 +81,7 @@ class MultiplicationSystem:
         float coordinate that overflows raises NumericError."""
         f, a, d = self.field, self.array[i], self.denominators
         if isinstance(f, PrimeField):
-            return (np.array([c % f.p for c in vec], dtype=a.dtype) @ a % f.p).tolist()
+            return residue_product(np.array([c % f.p for c in vec], dtype=a.dtype), a, f).tolist()
         if d is not None:
             common = math.lcm(*(c.denominator for c in vec))
             product = np.array([c.numerator * (common // c.denominator) for c in vec], dtype=object) @ a
@@ -200,9 +200,10 @@ def commutators(ms: MultiplicationSystem):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
             for j in range(i + 1, n):
-                diff = a[j] @ a[i] - a[i] @ a[j]
-                if mod is not None:
-                    diff %= mod
+                if mod is None:
+                    diff = a[j] @ a[i] - a[i] @ a[j]
+                else:
+                    diff = (residue_product(a[j], a[i], f) - residue_product(a[i], a[j], f)) % mod
                 nonzero = diff
                 if norms is not None:
                     nonzero = np.abs(_finite(diff)) > max(f.eps, 1e-10 * norms[i] * norms[j])
@@ -240,8 +241,7 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
     stands over its own denominator, the product of the d_i along its
     peels.  A parent shared by several monomials gets one row.  The answer
     is p's coefficients times the rows of its terms outside B, plus its
-    terms in B: mod p over Z/p, on Python ints when the sums of that many
-    products would not fit int64; over Q as integers over one common
+    terms in B: mod p over Z/p; over Q as integers over one common
     denominator, each coordinate made a Fraction once; over f64 in float64,
     where a coordinate that overflows raises NumericError.
     """
@@ -283,21 +283,16 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
         if depth == 1:
             C[rows] = a[i][srcs]
         else:
-            product = C[srcs] @ a[i]
-            C[rows] = product if mod is None else product % mod
+            C[rows] = C[srcs] @ a[i] if mod is None else residue_product(C[srcs], a[i], f)
         if d is not None:
             for r, s in zip(rows, srcs):
                 den[r] = d[i] if depth == 1 else den[s] * d[i]
     if d is None:
         vec = [f.zero] * ms.dimension
         if terms:
-            if mod is None:
-                coeffs = np.array([p.terms[m] for m in outside])
-            else:
-                dtype = np.int64 if int64_sums_fit(f, len(outside)) else object
-                coeffs = np.array([p.terms[m] % mod for m in outside], dtype=dtype)
-            product = coeffs @ _finite(C)[terms]
-            vec = _finite(product if mod is None else product % mod).tolist()
+            coeffs = np.array([f.normalize(p.terms[m]) for m in outside], dtype=a.dtype)
+            picked = _finite(C)[terms]
+            vec = (_finite(coeffs @ picked) if mod is None else residue_product(coeffs, picked, f)).tolist()
         for m, c in p.terms.items():
             j = index.get(m)
             if j is not None:

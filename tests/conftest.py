@@ -29,7 +29,6 @@ from borderbasis.poly import (
     mono_mul,
     mono_size,
     mono_var,
-    monomials_of_degree_at_most,
 )
 from borderbasis.solve import evaluate_complex
 
@@ -61,6 +60,24 @@ def poly_of(src, field, nvars=2):
 
 def system_of(srcs, field, nvars=2):
     return [poly_of(s, field, nvars) for s in srcs]
+
+
+def monomials_of_degree_at_most(n: int, d: int):
+    """All monomials in n variables of size <= d, in canonical order."""
+    out = []
+
+    def rec(prefix, rest, budget):
+        if rest == 1:
+            chunk.append(prefix + (budget,))
+            return
+        for e in range(budget + 1):
+            rec(prefix + (e,), rest - 1, budget - e)
+
+    for total in range(d + 1):
+        chunk = []
+        rec((), n, total)
+        out.extend(sorted(chunk, key=mono_key))
+    return out
 
 
 def random_regular_system(rng, field, n, max_deg, max_dim=None):

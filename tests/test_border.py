@@ -15,9 +15,9 @@ from borderbasis import (
     parse_field,
 )
 from borderbasis import border as border_module
-from borderbasis.border import RewritingRule, _Echelon, _ModpEchelon, _RationalEchelon
+from borderbasis.border import BorderBasis, RewritingRule, _Echelon, _ModpEchelon, _RationalEchelon
 from borderbasis.fields import float64_sums_fit, int64_sums_fit
-from borderbasis.poly import connected_component_of_one, mono_key, monomials_of_degree_at_most
+from borderbasis.poly import connected_component_of_one, mono_key
 
 from conftest import (
     NotReducibleError,
@@ -26,6 +26,7 @@ from conftest import (
     check_reducing_family,
     compute,
     exhaustive_rewrite,
+    monomials_of_degree_at_most,
     poly_of,
     random_poly,
     random_regular_system,
@@ -33,6 +34,7 @@ from conftest import (
     seeded,
     shifts_by_products,
     stable_by_division,
+    system_of,
 )
 
 REFERENCE_B = {(0, 0), (1, 0), (0, 1), (1, 1)}
@@ -45,7 +47,7 @@ def reference_rules(qq):
     for src in REFERENCE_FAMILY:
         p = poly_of(src, qq)
         lead = max(p.terms, key=mono_key)
-        rules[lead] = RewritingRule.from_poly(p, lead)
+        rules[lead] = RewritingRule.from_terms(qq, 2, p.terms, lead)
     return rules
 
 
@@ -217,7 +219,6 @@ def test_determinism(fp):
 
 def test_direct_sum_rank(qq, mac):
     # columns of B_lam plus all rule multiples up to lam span K[x]_lam exactly
-    from borderbasis.poly import monomials_of_degree_at_most
     from conftest import echelonize
 
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
@@ -397,7 +398,7 @@ def test_int64_echelon_matches_the_dict_echelon(spec, choice):
         cfs = parse_choice(choice), parse_choice(choice)
         ref, kern = _Echelon(B, cfs[0], field, n), _ModpEchelon(B, cfs[1], field, n)
         assert int64_sums_fit(field, len(kern.cols))
-        assert kern._in_float == (field.p < 10**8)
+        assert float64_sums_fit(field, len(kern.cols)) == (field.p < 10**8)
         for _ in range(3):
             size = rng.randint(1, 12)
             batch = _random_batch(
@@ -661,3 +662,75 @@ def test_katsura3_beyond_the_int64_range():
     bb = compute_border_basis(gen_katsura(field, 3), parse_choice("mac"))
     assert bb.dimension == 8
     assert check_commutation(bb.ms) == (True, None)
+
+
+@pytest.mark.parametrize("spec", ["fp:1000003", "qq", "f64:1e-10"])
+@pytest.mark.parametrize("choice", ["drvl", "dlex", "mac"])
+def test_one_polynomial_per_returned_rule(monkeypatch, spec, choice):
+    # each rule is built from its element's monomial map: the loop builds one
+    # Polynomial per returned rule, its tail, besides the normal form of each
+    # generator (building the element as a Polynomial first made two per rule)
+    F = gen_katsura(parse_field(spec), 4)
+    built = []
+    init = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    bb = compute_border_basis(F, parse_choice(choice))
+    assert bb.dimension == 16
+    assert len(built) <= len(bb.rules) + len(F)
+
+
+def _basis_or_error(F, choice):
+    try:
+        return compute_border_basis(F, parse_choice(choice))
+    except NotZeroDimensionalError as exc:
+        return exc
+
+
+def _mod(p, field):
+    """A qq polynomial with its coefficients mapped to ``field``."""
+    return Polynomial(field, p.nvars, {m: field.from_fraction(c) for m, c in p.terms.items()})
+
+
+def _cross_field_systems():
+    """Katsura 3 and 4, the non-order-ideal system and 20 seeded picks of the
+    192 dense random draws of seeds 1-8 (24 each), all over qq."""
+    from test_syzygy import NON_ORDER_IDEAL
+
+    qq = parse_field("qq")
+    yield gen_katsura(qq, 3)
+    yield gen_katsura(qq, 4)
+    yield system_of(NON_ORDER_IDEAL, qq)
+    picked = set(seeded(0).sample(range(192), 20))
+    for seed in range(1, 9):
+        rng = seeded(seed)
+        for draw in range(24):
+            n = rng.randint(2, 3)
+            F = [random_poly(rng, qq, n, rng.randint(2, 3)) for _ in range(n + rng.randint(0, 1))]
+            if 24 * (seed - 1) + draw in picked:
+                yield F
+
+
+@pytest.mark.parametrize("choice", ["drvl", "dlex", "mac"])
+def test_the_computation_commutes_with_reduction_mod_p(choice):
+    # over qq and over a prime whose products run in float64 and one whose
+    # products run on Python ints: the same outcome (a basis, an
+    # inconsistent system or exit 2), the same B and loops, and every qq rule
+    # reduces mod p to the prime's rule
+    kinds = []
+    for F in _cross_field_systems():
+        exact = _basis_or_error(F, choice)
+        kinds.append(type(exact))
+        for spec in ("fp:1000003", "fp:2147483647"):
+            field = parse_field(spec)
+            bb = _basis_or_error([_mod(p, field) for p in F], choice)
+            if not isinstance(exact, BorderBasis):
+                assert (type(bb), str(bb)) == (type(exact), str(exact))
+                continue
+            assert (bb.basis, bb.loops) == (exact.basis, exact.loops)
+            assert {m: r.tail for m, r in bb.rules.items()} == {m: _mod(r.tail, field) for m, r in exact.rules.items()}
+    assert {BorderBasis, InconsistentSystemError, NotZeroDimensionalError} <= set(kinds)

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from borderbasis import Polynomial, parse_choice
 from borderbasis.choice import NoChoosableMonomial, deglex_key, grevlex_key
 from borderbasis.fields import FloatField, RationalField
-from borderbasis.poly import mono_divides, mono_size, monomials_of_degree_at_most
+from borderbasis.poly import mono_divides, mono_size
 
-from conftest import poly_of, seeded
+from conftest import monomials_of_degree_at_most, poly_of, seeded
 
 
 def test_mac_prefers_high_single_variable_degree(qq, mac):

@@ -221,6 +221,10 @@ def test_cli_solve_prime_field_is_numeric_error(capsys, tmp_path):
         # the modulus is named, not int()'s "invalid literal for int()"
         pytest.param(["--field", "fp:abc"], "invalid modulus 'abc'", id="fp:abc"),
         pytest.param(["--field", "fp:100"], "modulus 100 is not prime", id="fp:100"),
+        # above 2^31 as well: 2^32 made pow fail in PrimeField.inv, and the
+        # Fermat number 2^32 + 1 = 641 * 6700417 gave a "basis"
+        pytest.param(["--field", "fp:4294967296"], "modulus 4294967296 is not prime", id="fp:4294967296"),
+        pytest.param(["--field", "fp:4294967297"], "modulus 4294967297 is not prime", id="fp:4294967297"),
         pytest.param(["--field", "f64:abc"], "invalid eps 'abc'", id="f64:abc"),
         pytest.param(["--field", "zz"], "unknown field 'zz'", id="zz"),
         pytest.param(["--choice", "foo"], "unknown choice function 'foo'", id="choice:foo"),

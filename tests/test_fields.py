@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from borderbasis import parse_field
-from borderbasis.border import _residue_product
 from borderbasis.fields import (
     DEFAULT_EPS,
     FieldDivisionError,
@@ -16,6 +15,7 @@ from borderbasis.fields import (
     float64_sums_fit,
     int64_sums_fit,
     is_prime,
+    residue_product,
 )
 
 
@@ -43,11 +43,15 @@ def test_prime_field_rejects_composite():
     PrimeField(1000003)
 
 
-# Carmichael numbers, a strong pseudoprime to bases 2, 3, 5, 7, and the two
-# largest primes below 2^31
-@pytest.mark.parametrize("p", [561, 1105, 25326001, 2147483629, 2147483647])
+# Carmichael numbers, a strong pseudoprime to bases 2, 3, 5, 7, the two
+# largest primes below 2^31, the Fermat number 2^32 + 1 = 641 * 6700417, a
+# strong pseudoprime to every prime base up to 37, and 2^61 - 1
+@pytest.mark.parametrize(
+    "p",
+    [561, 1105, 25326001, 2147483629, 2147483647, 4294967297, 318665857834031151167461, 2**61 - 1],
+)
 def test_prime_field_primality_near_the_trust_bound(p):
-    prime = p in (2147483629, 2147483647)
+    prime = p in (2147483629, 2147483647, 2**61 - 1)
     assert is_prime(p) == prime
     if prime:
         assert PrimeField(p).p == p
@@ -138,13 +142,20 @@ def test_float64_range_of_the_benchmark_prime():
     assert not float64_sums_fit(FloatField(), 1)
 
 
-def test_residue_product_exact_at_the_float64_bound():
-    # the largest sum the float64 product may form: 9,007 products of
-    # (p-1)^2, equal to the Python-int sum, so also mod p
-    p, k = 1000003, 9007
-    a, b = np.full((1, k), p - 1, np.int64), np.full((k, 1), p - 1, np.int64)
-    in_float = float64_sums_fit(PrimeField(p), k)
-    assert in_float
-    out = _residue_product(a, b, in_float)
-    assert out.dtype == np.int64
-    assert int(out[0, 0]) == k * (p - 1) ** 2
+def test_residue_product_exact_at_each_route_bound():
+    # sums of k products of p - 1 with itself at the bound of each route and
+    # one term past it: float64 up to 9,007 terms over 1000003, int64 up to
+    # 922 over 100000007, Python ints over 2147483647 from 3 terms on and
+    # over 2^61 - 1 from one; each equals the Python-int product mod p, as
+    # int64 wherever (p-1)^2 < 2^63
+    for p, k in [(1000003, 9007), (1000003, 9008), (100000007, 922), (100000007, 923), (2147483647, 3)]:
+        a, b = np.full((2, k), p - 1, np.int64), np.full((k, 3), p - 1, np.int64)
+        a[1] = np.arange(k) % p
+        out = residue_product(a, b, PrimeField(p))
+        assert out.dtype == np.int64
+        expected = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in a.tolist()]
+        assert out.tolist() == expected
+    p = 2**61 - 1
+    a, b = np.full((2, 2), p - 1, object), np.full((2, 1), p - 2, object)
+    out = residue_product(a, b, PrimeField(p))
+    assert out.dtype == object and out.tolist() == [[2 * (p - 1) * (p - 2) % p]] * 2

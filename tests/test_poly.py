@@ -22,7 +22,6 @@ from borderbasis.poly import (
     mono_key,
     mono_mul,
     mono_size,
-    monomials_of_degree_at_most,
 )
 
 from conftest import (
@@ -30,6 +29,7 @@ from conftest import (
     border,
     compute,
     mono_lcm,
+    monomials_of_degree_at_most,
     poly_of,
     prolong,
     seeded,

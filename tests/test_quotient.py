@@ -139,15 +139,15 @@ def _katsura3_with_a_wrong_tail(field):
     "spec, dtype",
     [
         pytest.param("fp:1000003", np.int64, id="fp:1000003"),
-        pytest.param("fp:2147483647", object, id="fp:2147483647"),
+        pytest.param("fp:2147483647", np.int64, id="fp:2147483647"),
         pytest.param("fp:2305843009213693951", object, id="fp:2305843009213693951"),
         pytest.param("f64:1e-10", np.float64, id="f64:1e-10"),
     ],
 )
 @pytest.mark.parametrize("build", [non_commuting_basis, _katsura3_with_a_wrong_tail])
 def test_int64_commutators_match_the_reference(build, spec, dtype):
-    # one wrong rule tail: the products on ms.array mod p, int64 or, where
-    # sums of D products leave int64 (D = 4 and 8 here), Python ints, must
+    # one wrong rule tail: the products on ms.array mod p, on int64 residues
+    # or, where one product of two residues leaves int64, Python ints, must
     # yield the columns the column-by-column reference yields, in its order,
     # as Python ints; on float64 the same positions, as floats, each column
     # within F64_RTOL of |M_i| |M_j|
@@ -280,8 +280,9 @@ def test_normal_form_history_independent(request, mac, field_name):
 )
 def test_residues_are_the_matrices_mod_p(spec):
     # over a prime, row j of array[i] is column j of M_i mod p: int64 only
-    # where sums of D products fit int64, Python ints otherwise; over qq the
-    # array holds numerators instead, and on f64 the matrices as float64
+    # where one product of two residues fits int64, Python ints otherwise;
+    # over qq the array holds numerators instead, and on f64 the matrices as
+    # float64
     field = parse_field(spec)
     ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
     if isinstance(field, RationalField):
@@ -292,7 +293,7 @@ def test_residues_are_the_matrices_mod_p(spec):
     if isinstance(field, FloatField):
         assert ms.array.dtype == np.float64 and ms.array.tolist() == ms.matrices
         return
-    if int64_sums_fit(field, D):
+    if int64_sums_fit(field, 1):
         assert ms.array.dtype == np.int64
     else:
         assert ms.array.dtype == object and all(type(a) is int for a in ms.array.flat)
@@ -448,12 +449,12 @@ def test_float_overflow_raises_numeric_error():
 
 @pytest.mark.parametrize("seed", [1, 9, 11])  # dimensions 2, 8, 8
 def test_normal_form_beyond_int64_sums_matches_the_oracle(seed):
-    # over 2^31 - 1 a sum of three products of residues overflows int64: a
-    # basis of dimension 8 holds an object array of Python ints; one of
-    # dimension 2 holds an int64 array, but the final product of a query
-    # with three or more terms outside B runs on Python ints
+    # over 2^31 - 1 a sum of three products of residues overflows int64:
+    # every basis holds an int64 array, but the level products of a basis of
+    # dimension 8 and the final product of a query with three or more terms
+    # outside B run on Python ints
     bb, polys = _regular(seed, "fp:2147483647")
-    assert bb.ms.array.dtype == (object if bb.dimension > 2 else np.int64)
+    assert bb.ms.array.dtype == np.int64
     projector = OracleProjector(bb, _query_degree(bb, polys))
     rng = seeded(200 + seed)
     for _ in range(4):

@@ -16,7 +16,6 @@ from borderbasis.poly import (
     mono_mul,
     mono_one,
     mono_var,
-    monomials_of_degree_at_most,
 )
 from borderbasis.quotient import neighbours
 from borderbasis.syzygy import (
@@ -38,6 +37,7 @@ import pytest
 from conftest import (
     border,
     compute,
+    monomials_of_degree_at_most,
     non_commuting_basis,
     oracle_syzygy_basis,
     poly_of,
