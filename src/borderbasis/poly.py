@@ -57,7 +57,7 @@ def axpy(field: Field, acc: dict, c, terms: dict) -> dict:
     product is skipped and a zero sum deletes its key, so the other keys keep
     their order.  Keys are only compared: monomials and column indices serve."""
     for k, a in terms.items():
-        ca = field.normalize(c * a)
+        ca = c * a
         if not field.is_zero(ca):
             v = field.normalize(acc.get(k, field.zero) + ca)
             if field.is_zero(v):

@@ -239,54 +239,59 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
     depth 1 the row of a[i] at the parent, deeper C[parents] @ a[i] (mod p),
     for all monomials of that depth and variable at once.  Over Q a row
     stands over its own denominator, the product of the d_i along its
-    peels.  A parent shared by several monomials gets one row.  The answer
-    is p's coefficients times the rows of its terms outside B, plus its
-    terms in B: mod p over Z/p; over Q as integers over one common
-    denominator, each coordinate made a Fraction once; over f64 in float64,
-    where a coordinate that overflows raises NumericError.
+    peels.  A parent shared by several monomials gets one row.  Each term
+    outside B is walked up its parents, in one loop and to any depth, to
+    the first that has a row or lies in B; the chain gets its rows from
+    that end down, with their denominators.  The answer is p's coefficients
+    times the rows of its terms outside B, plus its terms in B: mod p over
+    Z/p; over Q as integers over one common denominator, each coordinate
+    made a Fraction once; over f64 in float64, where a coordinate that
+    overflows raises NumericError.
     """
     f, index, a, d = ms.field, ms.index, ms.array, ms.denominators
     mod = f.p if isinstance(f, PrimeField) else None
     outside = [m for m in p.terms if m not in index]
     row: dict[Monomial, int] = {}
     depth_of: list[int] = []  # by row
+    den: list[int] = []  # by row, over Q: the product of the d_i along its peels
     groups: dict[tuple, tuple] = {}  # (depth, i) -> (rows, their parents' columns or rows)
-
-    def visit(m: Monomial) -> int:
-        """The row of m, given to m and its ancestors outside B on first sight."""
-        r = row.get(m)
-        if r is not None:
-            return r
-        for i, e in enumerate(m):
-            if e:
+    terms = []
+    chain = []  # the monomials walked through from a term, each with the variable peeled off it
+    for m in outside:
+        src = row.get(m)
+        while src is None:
+            for i, e in enumerate(m):
+                if e:
+                    break
+            chain.append((m, i))
+            m = m[:i] + (e - 1,) + m[i + 1 :]
+            src = index.get(m)
+            if src is not None:
+                depth = 0
                 break
-        parent = m[:i] + (e - 1,) + m[i + 1 :]
-        src = index.get(parent)
-        if src is None:
-            src = visit(parent)
-            depth = depth_of[src] + 1
-        else:
-            depth = 1
-        group = groups.get((depth, i))
-        if group is None:
-            group = groups[depth, i] = ([], [])
-        r = row[m] = len(depth_of)
-        depth_of.append(depth)
-        group[0].append(r)
-        group[1].append(src)
-        return r
-
-    terms = [visit(m) for m in outside]
+            src = row.get(m)
+        else:  # src is the row of the term or of its first ancestor with one
+            depth = depth_of[src]
+        while chain:
+            m, i = chain.pop()
+            depth += 1
+            group = groups.get((depth, i))
+            if group is None:
+                group = groups[depth, i] = ([], [])
+            r = row[m] = len(depth_of)
+            depth_of.append(depth)
+            group[0].append(r)
+            group[1].append(src)
+            if d is not None:
+                den.append(d[i] if depth == 1 else den[src] * d[i])
+            src = r
+        terms.append(src)
     C = np.empty((len(depth_of), ms.dimension), dtype=a.dtype)
-    den = [1] * len(depth_of)  # by row; over Q the product of the d_i along its peels
     for (depth, i), (rows, srcs) in sorted(groups.items()):
         if depth == 1:
             C[rows] = a[i][srcs]
         else:
             C[rows] = C[srcs] @ a[i] if mod is None else residue_product(C[srcs], a[i], f)
-        if d is not None:
-            for r, s in zip(rows, srcs):
-                den[r] = d[i] if depth == 1 else den[s] * d[i]
     if d is None:
         vec = [f.zero] * ms.dimension
         if terms:

@@ -57,17 +57,6 @@ def _finite_or_none(x):
     return x if x is not None and math.isfinite(x) else None
 
 
-def _complex_matrix(ms: MultiplicationSystem, i: int) -> np.ndarray:
-    f = ms.field
-    D = ms.dimension
-    out = np.empty((D, D), dtype=complex)
-    for j in range(D):
-        col = ms.matrices[i][j]
-        for k in range(D):
-            out[k, j] = f.to_complex(col[k])
-    return out
-
-
 def evaluate_complex(p: Polynomial, point) -> complex:
     """p at a complex point, coefficients converted to complex, summed in
     `mono_key` order so the value does not depend on the order p was built in."""
@@ -93,11 +82,6 @@ def residuals(roots, polys) -> list:
     return out
 
 
-def mnacr(roots, polys) -> float:
-    """Maximal norm of the input polynomials at the computed roots."""
-    return max([0.0, *residuals(roots, polys)])
-
-
 def eigen_roots(ms: MultiplicationSystem, seed: int = 0, polys=None) -> RootSet:
     """Roots from the eigen-decomposition of sum t_i M_i^T, t_i unit circle.
 
@@ -110,7 +94,12 @@ def eigen_roots(ms: MultiplicationSystem, seed: int = 0, polys=None) -> RootSet:
         raise SolveError("roots over a prime field are not computable numerically")
     n = ms.nvars
     rng = np.random.default_rng(seed)
-    mats_t = [_complex_matrix(ms, i).T for i in range(n)]
+    try:
+        # M_i^T, row j the column j of M_i, stored column-major: the layout
+        # sets the summation order of the products below, so the roots' last bits
+        mats_t = [np.array(ms.matrices[i], dtype=complex, order="F") for i in range(n)]
+    except OverflowError:  # as `Field.to_complex` reports it
+        raise NumericError("a coefficient is outside the float range") from None
     t = np.exp(2j * np.pi * rng.random(n))
     M = sum(t[i] * mats_t[i] for i in range(n))
     try:

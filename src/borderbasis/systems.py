@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 from .fields import Field, InputError
 from .poly import Polynomial
 
@@ -41,24 +39,3 @@ def gen_katsura(field: Field, n: int):
     linear[(0,) * nv] = field.normalize(-field.one)
     polys.append(Polynomial(field, nv, linear))
     return polys
-
-
-def gen_intro_family(field: Field, a, b, c, d, eps1, eps2):
-    """{a*x0^2 + b*x1^2 + eps1*x0*x1, c*x0^2 + d*x1^2 + eps2*x0*x1}.
-
-    Warns when a*d - b*c = 0 (the system is then not zero-dimensional in
-    general).
-    """
-    det = field.normalize(a * d - b * c)
-    if field.is_zero(det):
-        warnings.warn("a*d - b*c = 0: the system may not be zero-dimensional", stacklevel=2)
-    sq0, sq1, cross = (2, 0), (0, 2), (1, 1)
-
-    def mk(ca, cb, ce):
-        terms = {}
-        for m, co in ((sq0, ca), (sq1, cb), (cross, ce)):
-            if not field.is_zero(co):
-                terms[m] = co
-        return Polynomial(field, 2, terms)
-
-    return [mk(a, b, eps1), mk(c, d, eps2)]

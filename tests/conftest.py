@@ -9,6 +9,7 @@ have no caller in the library.
 """
 
 import random
+import warnings
 
 import pytest
 
@@ -30,7 +31,7 @@ from borderbasis.poly import (
     mono_size,
     mono_var,
 )
-from borderbasis.solve import evaluate_complex
+from borderbasis.solve import evaluate_complex, residuals
 
 
 @pytest.fixture
@@ -114,6 +115,32 @@ def random_poly(rng, field, n, max_deg, density=0.5):
             if not field.is_zero(c):
                 terms[m] = c
     return Polynomial(field, n, terms)
+
+
+def gen_intro_family(field, a, b, c, d, eps1, eps2):
+    """{a*x0^2 + b*x1^2 + eps1*x0*x1, c*x0^2 + d*x1^2 + eps2*x0*x1}.
+
+    Warns when a*d - b*c = 0 (the system is then not zero-dimensional in
+    general).
+    """
+    det = field.normalize(a * d - b * c)
+    if field.is_zero(det):
+        warnings.warn("a*d - b*c = 0: the system may not be zero-dimensional", stacklevel=2)
+    sq0, sq1, cross = (2, 0), (0, 2), (1, 1)
+
+    def mk(ca, cb, ce):
+        terms = {}
+        for m, co in ((sq0, ca), (sq1, cb), (cross, ce)):
+            if not field.is_zero(co):
+                terms[m] = co
+        return Polynomial(field, 2, terms)
+
+    return [mk(a, b, eps1), mk(c, d, eps2)]
+
+
+def mnacr(roots, polys) -> float:
+    """Maximal norm of the input polynomials at the computed roots."""
+    return max([0.0, *residuals(roots, polys)])
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ from borderbasis import (
 from borderbasis.cli import main
 from borderbasis.poly import mono_key
 from borderbasis.syzygy import generate_syzygies, reduce_syzygy, verify_syzygy
-from borderbasis.systems import gen_intro_family
 
 from conftest import (
     OracleProjector,
     _rule_c_polynomial,
     border,
     check_reducing_family,
+    gen_intro_family,
     oracle_syzygy_basis,
     poly_of,
     random_poly,

@@ -145,6 +145,19 @@ def test_reference_system_basis(qq, mac):
     assert bb.rules[(1, 2)].tail == poly_of("x0*x1", qq)
 
 
+@pytest.mark.parametrize("spec", ["qq", "fp:65537"])
+def test_generator_far_above_the_basis(spec):
+    # the generator check projects x0^1100, 1,099 peels above B
+    field = parse_field(spec)
+    bb = compute(["x0^2 - 1", "x1 - x0^1100"], field)
+    assert bb.basis == [(0, 0), (1, 0)]
+    assert {m: r.tail for m, r in bb.rules.items()} == {
+        (2, 0): poly_of("1", field),
+        (0, 1): poly_of("1", field),
+        (1, 1): poly_of("x0", field),
+    }
+
+
 def test_inconsistent_system(qq, mac):
     with pytest.raises(InconsistentSystemError) as err:
         compute(["x0", "x0 - 1"], qq)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -24,9 +25,8 @@ from borderbasis import (
     systems,
 )
 from borderbasis.cli import main
-from borderbasis.systems import gen_intro_family
 
-from conftest import non_commuting_basis
+from conftest import gen_intro_family, non_commuting_basis
 
 SYS = "ring x0 x1 over qq\nx0^2 - 1\nx1^2 - x1\n"
 
@@ -524,6 +524,23 @@ def test_cli_qq_normal_forms_are_pinned(capsys, tmp_path):
     )
 
 
+def test_cli_float64_route_normal_forms_are_pinned(capsys, tmp_path):
+    # under 1000003 the level products run as float64 BLAS products
+    out = _katsura3_normal_forms(capsys, tmp_path, "--field", "fp:1000003")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "2919dc05240dcd60d44d0be239bd796272fe31e3cdc91fc1e876b4322618c1e1"
+    )
+
+
+def test_cli_int64_route_normal_forms_are_pinned(capsys, tmp_path):
+    # under 100000007 a sum of products leaves float64's exact range, so the
+    # level products run as numpy int64 products
+    out = _katsura3_normal_forms(capsys, tmp_path, "--field", "fp:100000007")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e76c6020a726806ec8b530a2cd2acc2a330a21ea4b90508bb8ab8176e97bab9d"
+    )
+
+
 def test_cli_normal_forms_beyond_int64_are_pinned(capsys, tmp_path):
     # over 2^61 - 1 one product of two residues leaves int64, so the
     # matrices are an object array of Python ints
@@ -678,3 +695,23 @@ def test_every_library_error_has_one_exit_code_base():
     bases = {1: fields.InputError, 2: border.NotZeroDimensionalError, 3: fields.NumericError}
     for cls, code in EXIT_CODE_OF.items():
         assert [c for c, base in bases.items() if issubclass(cls, base)] == [code], cls
+
+
+def test_no_library_function_calls_itself():
+    # Python bounds the depth of a recursion, so a walk whose depth grows
+    # with the input (a monomial's peels above B) must be a loop
+    for path in sorted(Path(borderbasis.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert "setrecursionlimit" not in source, path.name
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                    name = callee.attr if callee.value.id in ("self", "cls") else None
+                else:
+                    name = getattr(callee, "id", None)
+                assert name != fn.name, f"{path.name}:{node.lineno}: {fn.name} calls itself"

@@ -568,6 +568,15 @@ def test_qq_normal_form_edge_cases(qq):
     assert _assert_qq_levels_match(bb, p) == inside
 
 
+@pytest.mark.parametrize("spec", ["qq", "fp:65537", "f64:1e-10"])
+def test_normal_form_walks_any_depth(spec):
+    # thousands of peels above B, each walked in one loop
+    field = parse_field(spec)
+    bb = compute(["x0^2 - 1", "x1^2 - 1"], field)
+    for query, expected in (("x0^1200", "1"), ("x0^5001*x1^2", "x0")):
+        assert normal_form(poly_of(query, field), bb.ms, bb) == poly_of(expected, field)
+
+
 def test_matrix_json_round(qq, mac):
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
     ms = build_mult_system(bb)

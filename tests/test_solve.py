@@ -11,10 +11,9 @@ from borderbasis import (
     parse_choice,
     parse_field,
 )
-from borderbasis.solve import mnacr, residuals
-from borderbasis.systems import gen_intro_family
+from borderbasis.solve import residuals
 
-from conftest import rule_residual, system_of
+from conftest import gen_intro_family, mnacr, rule_residual, system_of
 
 
 def roots_sorted(rs):
