@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .choice import ChoiceFunction, NoChoosableMonomial
-from .fields import FloatField, RationalField, int64_sums_fit, residue_product
+from .fields import FloatField, RationalField, int64_sums_fit
 from .poly import (
     Monomial,
     Polynomial,
@@ -359,7 +359,7 @@ class _ModpEchelon(_Universe):
     A batch is first reduced against the elements in one product,
     R - R[:, pivots] @ E mod p, which is exact because the elements are fully
     back-reduced, so the reduced row of a span is unique.  The product runs
-    over the pivots some row of the batch holds, as one `residue_product`;
+    over the pivots some row of the batch holds, as one product of the field;
     the elements, the rank-1 updates and the multiples stay int64.  The
     surviving rows then take their pivots in order, as the dict echelon
     inserts them; each is made monic and cleared from the elements by one
@@ -416,14 +416,15 @@ class _ModpEchelon(_Universe):
     def _reduce(self, rows):
         """The rows reduced by the elements, in place, without the zero rows:
         R - R[:, P[used]] @ E[used] mod p over the elements whose pivot column
-        some row holds, as one `residue_product`."""
+        some row holds, as one product of the field (`residue_product`)."""
         e = len(self.pivot_of)
         if e:
             held = rows[:, self._P[:e]]
             used = held.any(axis=0).nonzero()[0]
             if len(used):
-                rows -= residue_product(held[:, used], self._E[used], self.field)
-                rows %= self.p
+                # both in [0, p): one add of p brings a negative difference back
+                rows -= self.field.product(held[:, used], self._E[used])
+                np.add(rows, self.p, out=rows, where=rows < 0)
         nonzero = rows.any(axis=1)
         return rows if nonzero.all() else rows[nonzero]
 

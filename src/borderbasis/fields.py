@@ -4,7 +4,10 @@ Every other module is generic over a ``Field`` instance.  Elements are plain
 Python values (``Fraction``, ``int`` residues, ``float``), so polynomials stay
 hashable and cheap to copy.  They are combined with the operators ``+ - *``,
 and ``Field.normalize`` turns each result into the element it stands for
-before it is stored or compared.
+before it is stored or compared.  For dense linear algebra each field also
+encodes a list of elements as one numpy array over a scale (``encode``),
+multiplies two such arrays (``product``) and decodes an array back to
+elements (``decode``).
 """
 
 from __future__ import annotations
@@ -101,6 +104,24 @@ class Field:
     def to_complex(self, a) -> complex:
         raise FieldError(f"field {self.name} is not embeddable in C")
 
+    def encode(self, values):
+        """(array, scale): the elements ``values``, a list or nested lists, as
+        one numpy array of their shape, each value = its entry / scale; the
+        scale is 1 on every field but ``qq``."""
+        raise NotImplementedError
+
+    def decode(self, array, scale) -> list:
+        """The elements array[k] / scale of an array of products of encodings."""
+        return array.tolist()
+
+    def product(self, a, b):
+        """a @ b for arrays this field encodes."""
+        return a @ b
+
+    def nonzero(self, x, a, b):
+        """Where x, a difference of products of the arrays a and b, is nonzero."""
+        return x != 0
+
     def __repr__(self):
         return f"<field {self.name}>"
 
@@ -141,6 +162,15 @@ class RationalField(Field):
         except OverflowError:
             raise NumericError("a coefficient is outside the float range") from None
 
+    def encode(self, values):
+        """Integer numerators, an object array, over the lcm of the denominators."""
+        array = np.array(values, dtype=object)
+        scale = math.lcm(*(c.denominator for c in array.flat))
+        return np.frompyfunc(lambda c: c.numerator * (scale // c.denominator), 1, 1)(array), scale
+
+    def decode(self, array, scale):
+        return [Fraction(x, scale) for x in array.tolist()]
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -158,6 +188,8 @@ class PrimeField(Field):
         self.name = f"fp:{p}"
         self.zero = 0
         self.one = 1 % p
+        # residues are int64 when one product of two fits int64, Python ints beyond
+        self.dtype = np.int64 if int64_sums_fit(self, 1) else object
 
     def inv(self, a):
         if a % self.p == 0:
@@ -178,6 +210,20 @@ class PrimeField(Field):
 
     def from_fraction(self, q):
         return q.numerator * self.inv(q.denominator) % self.p
+
+    def encode(self, values):
+        """Least residues, of ``dtype``, over the scale 1."""
+        try:
+            array = np.array(values, dtype=self.dtype)
+        except OverflowError:  # a value beyond int64: reduced as a Python int
+            array = np.array(values, dtype=object)
+        return (array % self.p).astype(self.dtype, copy=False), 1
+
+    def decode(self, array, scale):
+        return (array % self.p).tolist()
+
+    def product(self, a, b):
+        return residue_product(a, b, self)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -210,7 +256,15 @@ def residue_product(a, b, field: PrimeField):
     if int64_sums_fit(field, terms):
         return a @ b % field.p
     out = a.astype(object) @ b.astype(object) % field.p
-    return out.astype(np.int64) if int64_sums_fit(field, 1) else out
+    return out.astype(field.dtype, copy=False)
+
+
+def _finite(x):
+    """x, unless a float64 entry overflowed to inf or nan: then NumericError,
+    as `FloatField.normalize` raises it."""
+    if not np.isfinite(x).all():
+        raise NumericError("float overflow: a coordinate became inf or nan")
+    return x
 
 
 DEFAULT_EPS = 1e-10
@@ -228,7 +282,8 @@ class FloatField(Field):
         if not (math.isfinite(eps) and eps >= 0):
             raise FieldError(f"eps must be finite and nonnegative, got {eps!r}")
         self.eps = eps
-        self.name = f"f64:{eps:g}"
+        # 6 significant digits where they give eps back, every digit otherwise
+        self.name = f"f64:{eps:g}" if float(f"{eps:g}") == eps else f"f64:{eps!r}"
         self.zero = 0.0
         self.one = 1.0
 
@@ -257,6 +312,21 @@ class FloatField(Field):
 
     def to_complex(self, a):
         return complex(a)
+
+    def encode(self, values):
+        """float64 over the scale 1; an entry that is inf or nan raises NumericError."""
+        return _finite(np.array(values, dtype=np.float64)), 1
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def product(self, a, b):
+        """a @ b in float64; an entry that overflows raises NumericError."""
+        return _finite(a @ b)
+
+    def nonzero(self, x, a, b):
+        """|x| > max(eps, 1e-10 * |a| * |b|), |a| the largest magnitude in a, so
+        badly scaled systems do not fail spuriously; inf or nan in x raises
+        NumericError."""
+        return np.abs(_finite(x)) > max(self.eps, 1e-10 * np.abs(a).max() * np.abs(b).max())
 
     def __eq__(self, other):
         return isinstance(other, FloatField) and other.eps == self.eps

@@ -7,14 +7,12 @@ certifies that the rewriting rules define a border basis.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fields import NumericError, PrimeField, RationalField, int64_sums_fit, residue_product
+from .fields import NumericError
 from .poly import Monomial, Polynomial, format_monomial, mono_key
 
 if TYPE_CHECKING:
@@ -33,12 +31,11 @@ class MultiplicationSystem:
 
     ``array`` holds the same matrices once more as one numpy array of shape
     (n, D, D), the route of `commutators`, `normal_form` and `apply` on
-    every field.  Over Z/p ``array[i][j]`` is the column j of M_i mod p:
-    int64 when (p-1)^2 < 2^63, a numpy object array of Python ints
-    otherwise.  Over ``qq`` it is the
-    column j of d_i * M_i, with d_i = ``denominators[i]`` the lcm of the
-    denominators in M_i.  Over f64 it is the column j of M_i as float64.
-    ``denominators`` is None on every field but ``qq``.
+    every field, as ``field.encode`` gives it: ``array[i][j]`` over
+    ``denominator`` is the column j of M_i.  Over Z/p it holds residues
+    (int64 when (p-1)^2 < 2^63, Python ints otherwise), over f64 float64,
+    both over the denominator 1; over ``qq`` integer numerators over the
+    lcm of every denominator in the matrices.
 
     ``shifts[i][k]`` is the monomial x_i*B[k], and ``outside[i]`` lists, in
     basis order, the pairs (k, x_i*B[k]) for each basis position k whose
@@ -54,40 +51,19 @@ class MultiplicationSystem:
         self.field = field
         self.nvars = nvars
         self.outside = [[(k, w) for k, w in enumerate(row) if w not in self.index] for row in shifts]
-        self.denominators = None
-        if isinstance(field, PrimeField):
-            dtype = np.int64 if int64_sums_fit(field, 1) else object
-            self.array = np.array(matrices, dtype=dtype) % field.p
-        elif isinstance(field, RationalField):
-            self.denominators = [math.lcm(*(c.denominator for col in m for c in col)) for m in matrices]
-            self.array = np.array(
-                [
-                    [[c.numerator * (d // c.denominator) for c in col] for col in m]
-                    for m, d in zip(matrices, self.denominators)
-                ],
-                dtype=object,
-            )
-        else:
-            self.array = np.array(matrices, dtype=np.float64)
+        self.array, self.denominator = field.encode(matrices)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def apply(self, i: int, vec):
-        """M_i applied to a coordinate vector: one product of the vector with
-        ``array[i]``, mod p over Z/p; over ``qq`` the vector is taken over the
-        lcm of its denominators and the product over that times d_i.  A
-        float coordinate that overflows raises NumericError."""
-        f, a, d = self.field, self.array[i], self.denominators
-        if isinstance(f, PrimeField):
-            return residue_product(np.array([c % f.p for c in vec], dtype=a.dtype), a, f).tolist()
-        if d is not None:
-            common = math.lcm(*(c.denominator for c in vec))
-            product = np.array([c.numerator * (common // c.denominator) for c in vec], dtype=object) @ a
-            return [Fraction(x, common * d[i]) for x in product.tolist()]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(np.array(vec, dtype=np.float64) @ a).tolist()
+        """M_i applied to a coordinate vector: the vector's encoding times
+        ``array[i]``, over the product of the two scales.  A float coordinate
+        that overflows raises NumericError."""
+        f = self.field
+        x, scale = f.encode(vec)
+        return f.decode(f.product(x, self.array[i]), scale * self.denominator)
 
     def vector_of(self, p: Polynomial):
         """Coordinates of a polynomial supported in B."""
@@ -171,50 +147,35 @@ def neighbours(ms: MultiplicationSystem):
                 yield k, i, j
 
 
-def _finite(x):
-    """x, unless a float entry overflowed to inf or nan: then NumericError,
-    as `FloatField.normalize` raises it."""
-    if x.dtype == np.float64 and not np.isfinite(x).all():
-        raise NumericError("float overflow: a coordinate became inf or nan")
-    return x
-
-
 def commutators(ms: MultiplicationSystem):
     """The nonzero columns of M_i M_j - M_j M_i, as (i, j, column index,
     column), over the `neighbours` columns in their order.
 
     Each pair's difference is formed once on ``ms.array``, as
-    A_j A_i - A_i A_j = d_i d_j (M_i M_j - M_j M_i)^T (d_i = 1 but over
-    ``qq``), reduced mod p over Z/p.  Exact fields test it for zero exactly,
-    and yield a nonzero column as ints mod p, or as Fractions over d_i d_j.
-    Over f64 an entry is nonzero when it exceeds
-    max(eps, 1e-10 * |M_i| * |M_j|), |M| the largest magnitude in M, so
-    badly scaled systems do not fail spuriously; a column is yielded as
-    floats, and an entry that overflows raises NumericError.
+    A_j A_i - A_i A_j = d^2 (M_i M_j - M_j M_i)^T, d = ``ms.denominator``,
+    with the field's product, and ``field.nonzero`` tests it: exactly on
+    the exact fields (over Z/p both products are residues, so the
+    difference is zero only where they agree).  Over f64 an entry is
+    nonzero when it exceeds max(eps, 1e-10 * |M_i| * |M_j|), |M| the
+    largest magnitude in M, so badly scaled systems do not fail spuriously,
+    and an entry that overflows raises NumericError.  A nonzero column is
+    yielded decoded over d^2: ints mod p, Fractions or floats.
     """
-    f, n, a, d = ms.field, ms.nvars, ms.array, ms.denominators
-    mod = f.p if isinstance(f, PrimeField) else None
-    norms = np.abs(a).max(axis=(1, 2)) if a.dtype == np.float64 else None
-    # a[i] holds the columns of d_i M_i as rows, so a[j] @ a[i] is d_i d_j (M_i M_j)^T
+    f, n, a = ms.field, ms.nvars, ms.array
+    # a[i] holds the columns of d M_i as rows, so a[j] @ a[i] is d^2 (M_i M_j)^T
     diffs = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
             for j in range(i + 1, n):
-                if mod is None:
-                    diff = a[j] @ a[i] - a[i] @ a[j]
-                else:
-                    diff = (residue_product(a[j], a[i], f) - residue_product(a[i], a[j], f)) % mod
-                nonzero = diff
-                if norms is not None:
-                    nonzero = np.abs(_finite(diff)) > max(f.eps, 1e-10 * norms[i] * norms[j])
+                diff = f.product(a[j], a[i]) - f.product(a[i], a[j])
+                nonzero = f.nonzero(diff, a[i], a[j])
                 if nonzero.any():
                     diffs[i, j] = diff, nonzero
     if diffs:
         for k, i, j in neighbours(ms):
             diff, nonzero = diffs.get((i, j), (None, None))
             if diff is not None and nonzero[k].any():
-                col = diff[k].tolist()
-                yield i, j, k, col if d is None else [Fraction(x, d[i] * d[j]) for x in col]
+                yield i, j, k, f.decode(diff[k], ms.denominator**2)
 
 
 def check_commutation(ms: MultiplicationSystem):
@@ -224,7 +185,6 @@ def check_commutation(ms: MultiplicationSystem):
     return True, None
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Polynomial:
     """The unique projection of K[x] onto <B> with kernel the ideal.
 
@@ -236,24 +196,20 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
     Each monomial needed is x_i times its parent, the monomial with its
     leftmost variable x_i peeled off, at depth one more than the parent's
     (a monomial of B has depth 0).  Its coordinates are one row of C: at
-    depth 1 the row of a[i] at the parent, deeper C[parents] @ a[i] (mod p),
-    for all monomials of that depth and variable at once.  Over Q a row
-    stands over its own denominator, the product of the d_i along its
-    peels.  A parent shared by several monomials gets one row.  Each term
-    outside B is walked up its parents, in one loop and to any depth, to
-    the first that has a row or lies in B; the chain gets its rows from
-    that end down, with their denominators.  The answer is p's coefficients
-    times the rows of its terms outside B, plus its terms in B: mod p over
-    Z/p; over Q as integers over one common denominator, each coordinate
-    made a Fraction once; over f64 in float64, where a coordinate that
-    overflows raises NumericError.
+    depth 1 the row of a[i] at the parent, deeper C[parents] @ a[i] by the
+    field's product, for all monomials of that depth and variable at once,
+    so a row at depth t stands over d^t, d = ``ms.denominator``.  A parent
+    shared by several monomials gets one row.  Each term outside B is
+    walked up its parents, in one loop and to any depth, to the first that
+    has a row or lies in B; the chain gets its rows from that end down.
+    The answer is p's coefficients times the rows of its terms outside B,
+    each coefficient taken over d^top (top the deepest row) when d is not 1,
+    in one product that the field decodes, plus p's terms in B.
     """
-    f, index, a, d = ms.field, ms.index, ms.array, ms.denominators
-    mod = f.p if isinstance(f, PrimeField) else None
+    f, index, a, d = ms.field, ms.index, ms.array, ms.denominator
     outside = [m for m in p.terms if m not in index]
     row: dict[Monomial, int] = {}
     depth_of: list[int] = []  # by row
-    den: list[int] = []  # by row, over Q: the product of the d_i along its peels
     groups: dict[tuple, tuple] = {}  # (depth, i) -> (rows, their parents' columns or rows)
     terms = []
     chain = []  # the monomials walked through from a term, each with the variable peeled off it
@@ -282,39 +238,22 @@ def normal_form(p: Polynomial, ms: MultiplicationSystem, bb: BorderBasis) -> Pol
             depth_of.append(depth)
             group[0].append(r)
             group[1].append(src)
-            if d is not None:
-                den.append(d[i] if depth == 1 else den[src] * d[i])
             src = r
         terms.append(src)
     C = np.empty((len(depth_of), ms.dimension), dtype=a.dtype)
     for (depth, i), (rows, srcs) in sorted(groups.items()):
-        if depth == 1:
-            C[rows] = a[i][srcs]
-        else:
-            C[rows] = C[srcs] @ a[i] if mod is None else residue_product(C[srcs], a[i], f)
-    if d is None:
-        vec = [f.zero] * ms.dimension
-        if terms:
-            coeffs = np.array([f.normalize(p.terms[m]) for m in outside], dtype=a.dtype)
-            picked = _finite(C)[terms]
-            vec = (_finite(coeffs @ picked) if mod is None else residue_product(coeffs, picked, f)).tolist()
-        for m, c in p.terms.items():
-            j = index.get(m)
-            if j is not None:
-                vec[j] = f.normalize(vec[j] + c)
-        return ms.poly_of(vec)
-    # over Q every term is taken over one common denominator
-    coeffs = [p.terms[m] for m in outside]
-    common = math.lcm(
-        *(c.denominator * den[r] for c, r in zip(coeffs, terms)),
-        *(c.denominator for m, c in p.terms.items() if m in index),
-    )
-    vec = [0] * ms.dimension
+        C[rows] = a[i][srcs] if depth == 1 else f.product(C[srcs], a[i])
+    vec = [f.zero] * ms.dimension
     if terms:
-        weights = [c.numerator * (common // (c.denominator * den[r])) for c, r in zip(coeffs, terms)]
-        vec = (np.array(weights, dtype=object) @ C[terms]).tolist()
+        weights, scale = f.encode([p.terms[m] for m in outside])
+        if d != 1:  # the row of a term at depth t stands over d^t: take each over d^top
+            top = max(groups)[0]
+            powers = [d**k for k in range(top + 1)]
+            weights = weights * np.array([powers[top - depth_of[r]] for r in terms], dtype=object)
+            scale *= powers[top]
+        vec = f.decode(f.product(weights, C[terms]), scale)
     for m, c in p.terms.items():
         j = index.get(m)
         if j is not None:
-            vec[j] += c.numerator * (common // c.denominator)
-    return ms.poly_of([Fraction(x, common) for x in vec])
+            vec[j] = f.normalize(vec[j] + c)
+    return ms.poly_of(vec)

@@ -697,6 +697,22 @@ def test_every_library_error_has_one_exit_code_base():
         assert [c for c, base in bases.items() if issubclass(cls, base)] == [code], cls
 
 
+def test_quotient_leaves_the_array_encoding_to_the_fields():
+    # each field encodes, multiplies and decodes its own arrays, so the
+    # multiplication system, the commutators and the normal form name no
+    # field class and none of the prime field's arithmetic
+    tree = ast.parse(Path(quotient.__file__).read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & {"PrimeField", "RationalField", "FloatField", "int64_sums_fit", "residue_product", "Fraction"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "isinstance" not in names
+
+
+def test_cli_report_names_the_f64_field_it_ran(capsys):
+    code, out = run(capsys, ["katsura", "-n", "2", "--field", "f64:1.234567891e-10", "--json", "basis"])
+    assert code == 0 and json.loads(out)["field"] == "f64:1.234567891e-10"
+
+
 def test_no_library_function_calls_itself():
     # Python bounds the depth of a recursion, so a walk whose depth grows
     # with the input (a monomial's peels above B) must be a loop

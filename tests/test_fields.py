@@ -10,6 +10,7 @@ from borderbasis.fields import (
     DEFAULT_EPS,
     FieldDivisionError,
     FloatField,
+    NumericError,
     PrimeField,
     RationalField,
     float64_sums_fit,
@@ -92,6 +93,68 @@ def test_parse_field_strings():
     assert parse_field("f64:1e-10").eps == 1e-10
     with pytest.raises(ValueError):
         parse_field("gf:4")
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 1.234567891e-10, 5e-324])
+def test_float_field_name_gives_its_eps_back(eps):
+    # six significant digits where they round-trip ("f64:1e-10", "f64:0"),
+    # every digit otherwise, so a report names the field the run used
+    assert parse_field(FloatField(eps).name) == FloatField(eps)
+
+
+def test_float_field_names_that_round_trip_are_unchanged():
+    assert [FloatField(e).name for e in (0.0, 1e-10, 1e-06, 0.5)] == ["f64:0", "f64:1e-10", "f64:1e-06", "f64:0.5"]
+    assert FloatField(1.234567891e-10).name == "f64:1.234567891e-10"
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        (RationalField(), [Fraction(2**70 + 1, 3), Fraction(-5, 2**66), Fraction(0), Fraction(7)]),
+        (RationalField(), []),
+        (PrimeField(1000003), [0, 5, -1, 1000003, 3 * 1000003 + 2, -(2**70), 2**64 + 9]),
+        (PrimeField(2147483647), [2147483646, -2147483647, 2**40, -3, 2**90]),
+        (PrimeField(2**61 - 1), [2**61 - 2, 2**61, -(2**61) - 5, 2**200 + 1, 0]),
+        (FloatField(), [0.0, -1.5, 1e300, 5e-324]),
+    ],
+    ids=["qq", "qq-empty", "fp:1000003", "fp:2147483647", "fp:2305843009213693951", "f64"],
+)
+def test_decode_inverts_encode(field, values):
+    # decode(*encode(v)) is v, reduced to least residues on a prime; qq
+    # numerators may pass 2^64, and a prime's values may be negative or
+    # unreduced, beyond int64 too
+    array, scale = field.encode(values)
+    assert field.decode(array, scale) == [field.normalize(c) for c in values]
+    if isinstance(field, PrimeField):
+        assert scale == 1 and array.dtype == field.dtype
+    if isinstance(field, RationalField):
+        assert array.dtype == object and all(Fraction(a, scale) == c for a, c in zip(array.tolist(), values))
+
+
+def test_encode_keeps_the_shape_of_nested_lists():
+    qq = RationalField()
+    array, scale = qq.encode([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(0)]])
+    assert scale == 6 and array.shape == (2, 2) and array.tolist() == [[3, 2], [6, 0]]
+    array, scale = PrimeField(7).encode([[8, -1], [3, 14]])
+    assert scale == 1 and array.tolist() == [[1, 6], [3, 0]]
+
+
+@pytest.mark.parametrize("values", [[1.0, float("inf")], [1e308 * 10], [float("nan")]])
+def test_f64_encode_of_an_overflow_raises_numeric_error(values):
+    with pytest.raises(NumericError, match="float overflow"):
+        FloatField().encode(values)
+
+
+def test_products_of_encodings_decode_to_the_products_of_the_elements():
+    # (u over s) @ (M over t) decodes over s*t to the field's sum of products
+    rows = [[Fraction(1, 3), Fraction(-2, 5)], [Fraction(7, 2), Fraction(0)]]
+    vec = [Fraction(3, 4), Fraction(-1, 6)]
+    for field, conv in [(RationalField(), lambda c: c), (PrimeField(1000003), PrimeField(1000003).from_fraction)]:
+        m = [[conv(c) for c in row] for row in rows]
+        v = [conv(c) for c in vec]
+        (a, s), (b, t) = field.encode(v), field.encode(m)
+        expected = [field.normalize(sum(v[k] * m[k][j] for k in range(2))) for j in range(2)]
+        assert field.decode(field.product(a, b), s * t) == expected
 
 
 @pytest.mark.parametrize("spec", ["f64:nan", "f64:inf", "f64:-inf"])

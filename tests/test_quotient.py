@@ -170,11 +170,13 @@ def test_int64_commutators_match_the_reference(build, spec, dtype):
     "build, denominators", [(non_commuting_basis, {1}), (_katsura3_with_a_wrong_tail, {19008, 66528, 133056})]
 )
 def test_qq_commutators_match_the_reference(qq, build, denominators):
-    # the integer products over d_i*d_j must yield the normalized Fraction
-    # columns the column-by-column path yields, in its order, whether the d_i
-    # are all 1 or differ across the variables
+    # the integer products over d^2, d the lcm of the denominators of every
+    # M_i, must yield the normalized Fraction columns the column-by-column
+    # path yields, in its order, whether the M_i are integral or their
+    # denominators differ across the variables
     bb = build(qq)
-    assert set(bb.ms.denominators) == denominators
+    assert {math.lcm(*(c.denominator for col in m for c in col)) for m in bb.ms.matrices} == denominators
+    assert bb.ms.denominator == math.lcm(*denominators)
     found = list(commutators(bb.ms))
     assert found and found == reference_commutators(bb.ms)
     assert all(type(c) is Fraction for *_, col in found for c in col)
@@ -279,17 +281,17 @@ def test_normal_form_history_independent(request, mac, field_name):
     "spec", ["fp:1000003", "fp:2147483647", "fp:2305843009213693951", "qq", "f64:1e-10"]
 )
 def test_residues_are_the_matrices_mod_p(spec):
-    # over a prime, row j of array[i] is column j of M_i mod p: int64 only
-    # where one product of two residues fits int64, Python ints otherwise;
-    # over qq the array holds numerators instead, and on f64 the matrices as
-    # float64
+    # over a prime, row j of array[i] is column j of M_i mod p, over the
+    # denominator 1: int64 only where one product of two residues fits
+    # int64, Python ints otherwise; over qq the array holds numerators
+    # instead, and on f64 the matrices as float64
     field = parse_field(spec)
     ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
     if isinstance(field, RationalField):
-        assert ms.denominators is not None
+        assert ms.denominator > 1
         return
     D = ms.dimension
-    assert ms.denominators is None and ms.array.shape == (ms.nvars, D, D)
+    assert ms.denominator == 1 and ms.array.shape == (ms.nvars, D, D)
     if isinstance(field, FloatField):
         assert ms.array.dtype == np.float64 and ms.array.tolist() == ms.matrices
         return
@@ -302,17 +304,18 @@ def test_residues_are_the_matrices_mod_p(spec):
 
 @pytest.mark.parametrize("spec", ["qq", "fp:1000003", "fp:2147483647", "f64:1e-10"])
 def test_numerators_are_the_matrices_over_one_denominator(spec):
-    # row j of array[i] over denominators[i] (the lcm of the denominators
-    # in M_i) is column j of M_i, on qq only
+    # row j of array[i] over ms.denominator (the lcm of every denominator
+    # in the matrices) is column j of M_i; the denominator is 1 but on qq
     field = parse_field(spec)
     ms = compute_border_basis(gen_katsura(field, 3), parse_choice("mac")).ms
     if not isinstance(field, RationalField):
-        assert ms.denominators is None
+        assert ms.denominator == 1
         return
     D = ms.dimension
+    d = ms.denominator
     assert ms.array.dtype == object and ms.array.shape == (ms.nvars, D, D)
-    for i, d in enumerate(ms.denominators):
-        assert d == math.lcm(*(c.denominator for col in ms.matrices[i] for c in col))
+    assert d == math.lcm(*(c.denominator for m in ms.matrices for col in m for c in col))
+    for i in range(ms.nvars):
         for j in range(D):
             for k in range(D):
                 a = ms.array[i][j][k]
@@ -517,7 +520,7 @@ def test_qq_normal_form_matches_the_oracles_on_katsura3(katsura3_fp):
     qq, fp = parse_field("qq"), fp_bb.field
     polys = gen_katsura(qq, 3)
     bb = compute_border_basis(polys, parse_choice("mac"))
-    assert bb.basis == fp_bb.basis and all(d % fp.p for d in bb.ms.denominators)
+    assert bb.basis == fp_bb.basis and bb.ms.denominator % fp.p
 
     def mod_p(q):
         return Polynomial(fp, q.nvars, {m: fp.from_fraction(c) for m, c in q.terms.items()})
