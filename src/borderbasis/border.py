@@ -158,8 +158,9 @@ class _Universe:
 
 class _Echelon(_Universe):
     """Reduced echelon of monic rows with distinct pivots over B+, one dict
-    per row updated by `axpy`.  Serves f64, and the primes and loops the int64
-    kernel does not; over qq it is the reference of `_RationalEchelon`.
+    per row updated by `axpy`.  Serves f64, the loops below `_KERNEL_MIN_SIZE`,
+    primes whose residues leave int64, and the tests, as the reference of
+    `_ModpEchelon` and, over qq, of `_RationalEchelon`.
     Over f64 `insert_batch` pivots partially and re-picks a pending row's
     pivot only when an insertion changes the row (every row under mix).
     """
@@ -352,18 +353,20 @@ _BLOCK = 1 << 15
 
 class _ModpEchelon(_Universe):
     """The echelon over Z/p as int64 residues: one dense row per element over
-    the columns of B+.  Used when the field's sums of |B+| products fit int64
-    (`int64_sums_fit`); its pivots, elements and returned rows are the dict
-    echelon's, entry for entry.
+    the columns of B+.  Runs the loops from `_KERNEL_MIN_SIZE` on over every
+    prime whose residues fit int64, a product of two below 2^63
+    (`int64_sums_fit(field, 1)`), whatever |B+|; its pivots, elements and
+    returned rows are the dict echelon's, entry for entry.
 
     A batch is first reduced against the elements in one product,
     R - R[:, pivots] @ E mod p, which is exact because the elements are fully
     back-reduced, so the reduced row of a span is unique.  The product runs
-    over the pivots some row of the batch holds, as one product of the field;
-    the elements, the rank-1 updates and the multiples stay int64.  The
-    surviving rows then take their pivots in order, as the dict echelon
-    inserts them; each is made monic and cleared from the elements by one
-    rank-1 update mod p.
+    over the pivots some row of the batch holds, as one product of the field
+    (`residue_product`, which keeps its sums exact).  The surviving rows then
+    take their pivots in order, as the dict echelon inserts them; each is
+    made monic, and its pivot column is cleared from the elements and from
+    the later rows of the batch by one rank-1 update mod p.  Every other
+    int64 operation is one product of two residues, so none overflows.
     A row takes the top of the universe's rank among its nonzero columns,
     as `_select_pivot` picks; without a rank it calls `_select_pivot` on the
     row as a dict, so mix draws its coin as often and in the same order.
@@ -432,19 +435,14 @@ class _ModpEchelon(_Universe):
         """Insert rows reduced by the elements, in order and in place; returns
         the inserted ones as inserted.
 
-        A row is first reduced by the elements this batch has added, then
-        made monic, and its pivot column is cleared from the elements by one
-        rank-1 update.
+        Each row is made monic, and its pivot column is cleared from the
+        elements and from the block's later rows by one rank-1 update each.
+        So a row holds no pivot column when its turn comes (`_reduce`
+        cleared those of the elements inserted before the block), and no
+        int64 value exceeds a product of two residues.
         """
-        p = self.p
-        E, P = self._E, self._P
-        e0 = len(self.pivot_of)
         inserted = []
         for t, row in enumerate(rows):
-            e = len(self.pivot_of)
-            if e > e0:
-                row -= row[P[e0:e]] @ E[e0:e]
-                row %= p
             nonzero = row.nonzero()[0].tolist()
             if not nonzero:
                 continue
@@ -452,17 +450,19 @@ class _ModpEchelon(_Universe):
                 pivot = max(nonzero, key=self.rank.__getitem__)
             else:
                 pivot = self._select_pivot(dict(zip(nonzero, row[nonzero].tolist())))
-            row *= pow(int(row[pivot]), -1, p)
-            row %= p
-            c = E[:e, pivot]
-            hit = c.nonzero()[0]
-            if len(hit):
-                update = E[hit]
-                update -= c[hit, None] * row
-                update %= p
-                E[hit] = update
-            E[e] = row
-            P[e] = pivot
+            row *= pow(int(row[pivot]), -1, self.p)
+            row %= self.p
+            e = len(self.pivot_of)
+            for block in (self._E[:e], rows[t + 1 :]):
+                c = block[:, pivot]
+                hit = c.nonzero()[0]
+                if len(hit):
+                    update = block[hit]
+                    update -= c[hit, None] * row
+                    update %= self.p
+                    block[hit] = update
+            self._E[e] = row
+            self._P[e] = pivot
             self.pivot_of[pivot] = e
             inserted.append(t)
         return rows[inserted]
@@ -572,11 +572,9 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
     blacklist = set()
 
     for loops in range(1, loop_limit + 1):
-        # |B+| <= (n+1)|B| bounds the pivots an int64 sum adds up
-        size = (n + 1) * len(B)
         if isinstance(field, RationalField):
             kernel = _RationalEchelon
-        elif size >= _KERNEL_MIN_SIZE and int64_sums_fit(field, size):
+        elif (n + 1) * len(B) >= _KERNEL_MIN_SIZE and int64_sums_fit(field, 1):
             kernel = _ModpEchelon
         else:
             kernel = _Echelon

@@ -246,17 +246,22 @@ def float64_sums_fit(field: Field, terms: int) -> bool:
 
 
 def residue_product(a, b, field: PrimeField):
-    """a @ b mod p for numpy arrays of residues, exactly: one float64 BLAS
-    product where its sums are exact in float64 (Dumas, Giorgi & Pernet, ACM
-    TOMS 35, 2008), numpy's int64 product where they fit int64, Python ints
-    beyond.  int64 when (p-1)^2 < 2^63, else an object array of Python ints."""
-    terms = a.shape[-1]
+    """a @ b mod p for numpy arrays of residues, exactly, with delayed
+    reduction (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008): one float64 BLAS
+    product where its sums are exact in float64; else, where (p-1)^2 < 2^63,
+    numpy's int64 product over chunks of as many terms as one int64 sum
+    holds, floor((2^63-1)/(p-1)^2), each reduced mod p and their residues
+    added; else one product of Python ints.  Of the field's ``dtype``."""
+    p, terms = field.p, a.shape[-1]
     if float64_sums_fit(field, terms):
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % field.p
-    if int64_sums_fit(field, terms):
-        return a @ b % field.p
-    out = a.astype(object) @ b.astype(object) % field.p
-    return out.astype(field.dtype, copy=False)
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    step = (2**63 - 1) // (p - 1) ** 2  # 0 when one product leaves int64
+    if not step:
+        return a.astype(object) @ b.astype(object) % p
+    out = a[..., :step] @ b[:step] % p
+    for s in range(step, terms, step):
+        out += a[..., s : s + step] @ b[s : s + step] % p
+    return out % p if terms > step else out
 
 
 def _finite(x):
@@ -317,10 +322,17 @@ class FloatField(Field):
         """float64 over the scale 1; an entry that is inf or nan raises NumericError."""
         return _finite(np.array(values, dtype=np.float64)), 1
 
+    def decode(self, array, scale):
+        """The floats of an answer; an entry that is inf or nan raises
+        NumericError.  An inf in any product it was formed from reaches it as
+        inf or nan (inf * 0 is nan), so one check per answer suffices."""
+        return _finite(array).tolist()
+
     @np.errstate(over="ignore", invalid="ignore")
     def product(self, a, b):
-        """a @ b in float64; an entry that overflows raises NumericError."""
-        return _finite(a @ b)
+        """a @ b in float64, without a warning on overflow: `decode` or
+        `nonzero` raises NumericError on the answer."""
+        return a @ b
 
     def nonzero(self, x, a, b):
         """|x| > max(eps, 1e-10 * |a| * |b|), |a| the largest magnitude in a, so

@@ -396,13 +396,14 @@ def _random_batch(rng, field, ncols, size, coeff):
     return rows
 
 
-@pytest.mark.parametrize("spec", ["fp:65537", "fp:1000003", "fp:100000007"])
+@pytest.mark.parametrize("spec", ["fp:65537", "fp:1000003", "fp:100000007", "fp:2147483647", "fp:3037000493"])
 @pytest.mark.parametrize("choice", CHOICES)
 def test_int64_echelon_matches_the_dict_echelon(spec, choice):
     # the same seeded batches, then their x_i-multiples, into both echelons:
     # the same rows back in order, the same pivots, the same elements and,
     # under mix, the same coin draws (the first two primes reduce by the
-    # float64 product, 100000007 by the int64 one)
+    # float64 product, 100000007 by the int64 one, and the last two by int64
+    # chunks of two and of one product)
     field = parse_field(spec)
     rng = seeded(13)
     for _ in range(6):
@@ -410,7 +411,7 @@ def test_int64_echelon_matches_the_dict_echelon(spec, choice):
         B = set(monomials_of_degree_at_most(n, rng.randint(1, 3)))
         cfs = parse_choice(choice), parse_choice(choice)
         ref, kern = _Echelon(B, cfs[0], field, n), _ModpEchelon(B, cfs[1], field, n)
-        assert int64_sums_fit(field, len(kern.cols))
+        assert int64_sums_fit(field, 1)
         assert float64_sums_fit(field, len(kern.cols)) == (field.p < 10**8)
         for _ in range(3):
             size = rng.randint(1, 12)
@@ -427,18 +428,51 @@ def test_int64_echelon_matches_the_dict_echelon(spec, choice):
         assert cfs[0]._rng is None or cfs[0]._rng.getstate() == cfs[1]._rng.getstate()
 
 
+def _loop_kernels(monkeypatch):
+    """A list that records, for each loop `compute_border_basis` runs from
+    now on, its echelon class and (n+1)|B|."""
+    kernels = []
+    init = border_module._Universe.__init__
+
+    def recorded(self, B, cf, field, n):
+        kernels.append((type(self), (n + 1) * len(B)))
+        init(self, B, cf, field, n)
+
+    monkeypatch.setattr(border_module._Universe, "__init__", recorded)
+    return kernels
+
+
 @pytest.mark.parametrize("choice", CHOICES)
 def test_int64_kernel_gives_the_dict_bases(monkeypatch, choice):
-    # every loop on the int64 kernel, then none: identical bases and loops
-    field = parse_field("fp:65537")
-    rng = seeded(17)
-    systems = [random_regular_system(rng, field, rng.randint(2, 3), 3)[0] for _ in range(12)]
-    runs = []
-    for size in (0, 10**9):
-        monkeypatch.setattr(border_module, "_KERNEL_MIN_SIZE", size)
-        runs.append([compute_border_basis(F, parse_choice(choice)) for F in systems])
-    for a, b in zip(*runs):
-        assert a.to_json_dict() == b.to_json_dict() and a.loops == b.loops
+    # every loop on the int64 kernel, whatever the prime, then none:
+    # identical bases and loops
+    kernels = _loop_kernels(monkeypatch)
+    for spec in ("fp:65537", "fp:2147483647", "fp:3037000493"):
+        field = parse_field(spec)
+        rng = seeded(17)
+        systems = [random_regular_system(rng, field, rng.randint(2, 3), 3)[0] for _ in range(12)]
+        runs, ran = [], []
+        for size in (0, 10**9):
+            monkeypatch.setattr(border_module, "_KERNEL_MIN_SIZE", size)
+            kernels.clear()
+            runs.append([compute_border_basis(F, parse_choice(choice)) for F in systems])
+            ran.append({k for k, _ in kernels})
+        assert ran == [{_ModpEchelon}, {_Echelon}]
+        for a, b in zip(*runs):
+            assert a.to_json_dict() == b.to_json_dict() and a.loops == b.loops
+
+
+def test_katsura4_over_2_31_minus_1_runs_the_int64_kernel(monkeypatch):
+    # a prime whose sums of three products leave int64 takes the kernel on
+    # every loop from _KERNEL_MIN_SIZE on: its block products run in int64
+    # chunks of two products; the same report as on the dict rows alone
+    F = gen_katsura(parse_field("fp:2147483647"), 4)
+    kernels = _loop_kernels(monkeypatch)
+    bb = compute_border_basis(F, parse_choice("mac"))
+    assert [size for k, size in kernels if k is _ModpEchelon] == [120, 198, 90, 186, 96]
+    assert len(kernels) == bb.loops == 6
+    monkeypatch.setattr(border_module, "_KERNEL_MIN_SIZE", 10**9)
+    assert compute_border_basis(F, parse_choice("mac")).to_json_dict() == bb.to_json_dict()
 
 
 @pytest.mark.parametrize("n, dim", [(4, 16), (5, 32)])
@@ -669,7 +703,8 @@ def test_rational_echelon_gives_the_dict_bases(monkeypatch, choice):
 
 
 def test_katsura3_beyond_the_int64_range():
-    # 2^31 - 1 fits only sums of two products, so every loop takes the dict rows
+    # 2^31 - 1 fits only sums of two products; every loop of Katsura 3 has
+    # (n+1)|B| below _KERNEL_MIN_SIZE, so each takes the dict rows
     field = parse_field("fp:2147483647")
     assert not int64_sums_fit(field, 3)
     bb = compute_border_basis(gen_katsura(field, 3), parse_choice("mac"))

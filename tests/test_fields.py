@@ -207,17 +207,25 @@ def test_float64_range_of_the_benchmark_prime():
 
 def test_residue_product_exact_at_each_route_bound():
     # sums of k products of p - 1 with itself at the bound of each route and
-    # one term past it: float64 up to 9,007 terms over 1000003, int64 up to
-    # 922 over 100000007, Python ints over 2147483647 from 3 terms on and
-    # over 2^61 - 1 from one; each equals the Python-int product mod p, as
-    # int64 wherever (p-1)^2 < 2^63
-    for p, k in [(1000003, 9007), (1000003, 9008), (100000007, 922), (100000007, 923), (2147483647, 3)]:
+    # one term past it: float64 up to 9,007 terms over 1000003; int64 in
+    # chunks of floor((2^63-1)/(p-1)^2) terms beyond, 922 over 100000007, 2
+    # over 2147483647 (5 terms: a chunk that is not full) and 1 over
+    # 3037000493, the largest prime whose residues fit int64; no term, and
+    # a 1-D left operand; Python ints over 2^61 - 1.  Each equals the
+    # Python-int product mod p, as int64 wherever (p-1)^2 < 2^63
+    cases = [(1000003, 9007), (1000003, 9008), (100000007, 922), (100000007, 923), (2147483647, 3)]
+    cases += [(2147483647, 5), (3037000493, 1), (3037000493, 2), (3037000493, 3), (2147483647, 0)]
+    assert is_prime(3037000493) and not int64_sums_fit(PrimeField(3037000493), 2)
+    assert not any(map(is_prime, range(3037000494, 3037000507)))
+    assert not int64_sums_fit(PrimeField(3037000507), 1)
+    for p, k in cases:
         a, b = np.full((2, k), p - 1, np.int64), np.full((k, 3), p - 1, np.int64)
         a[1] = np.arange(k) % p
-        out = residue_product(a, b, PrimeField(p))
-        assert out.dtype == np.int64
         expected = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in a.tolist()]
-        assert out.tolist() == expected
+        for left, want in [(a, expected), (a[0], expected[0])]:
+            out = residue_product(left, b, PrimeField(p))
+            assert out.dtype == np.int64
+            assert out.tolist() == want
     p = 2**61 - 1
     a, b = np.full((2, 2), p - 1, object), np.full((2, 1), p - 2, object)
     out = residue_product(a, b, PrimeField(p))

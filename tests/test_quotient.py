@@ -453,9 +453,9 @@ def test_float_overflow_raises_numeric_error():
 @pytest.mark.parametrize("seed", [1, 9, 11])  # dimensions 2, 8, 8
 def test_normal_form_beyond_int64_sums_matches_the_oracle(seed):
     # over 2^31 - 1 a sum of three products of residues overflows int64:
-    # every basis holds an int64 array, but the level products of a basis of
+    # every basis holds an int64 array, and the level products of a basis of
     # dimension 8 and the final product of a query with three or more terms
-    # outside B run on Python ints
+    # outside B run in int64 chunks of two products, each reduced mod p
     bb, polys = _regular(seed, "fp:2147483647")
     assert bb.ms.array.dtype == np.int64
     projector = OracleProjector(bb, _query_degree(bb, polys))
