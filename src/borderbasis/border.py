@@ -22,7 +22,6 @@ from .poly import (
     Monomial,
     Polynomial,
     axpy,
-    connected_component_of_one,
     divisor_closure,
     format_monomial,
     mono_key,
@@ -129,6 +128,19 @@ class _Universe:
         self.field = field
         self.n = n
         self.pivot_of = {}  # pivot column -> index
+
+    def connected(self, keep) -> set:
+        """The monomials of ``keep``, a part of B holding 1, connected to 1
+        inside it: the walk from 1 over the shift table through keep's columns."""
+        left = {self.col[m] for m in keep}
+        reach = [self.col[mono_one(self.n)]]
+        left.remove(reach[0])
+        for k in reach:
+            for shift in self.shift:
+                if shift[k] in left:
+                    left.remove(shift[k])
+                    reach.append(shift[k])
+        return {self.cols[k] for k in reach}
 
     def row(self, terms: dict):
         """A monomial-keyed map as a row, or None when its support leaves B+."""
@@ -450,7 +462,7 @@ class _ModpEchelon(_Universe):
                 pivot = max(nonzero, key=self.rank.__getitem__)
             else:
                 pivot = self._select_pivot(dict(zip(nonzero, row[nonzero].tolist())))
-            row *= pow(int(row[pivot]), -1, self.p)
+            row *= self.field.inv(int(row[pivot]))
             row %= self.p
             e = len(self.pivot_of)
             for block in (self._E[:e], rows[t + 1 :]):
@@ -626,7 +638,7 @@ def compute_border_basis(F, cf: ChoiceFunction) -> BorderBasis:
         if one in shrink:
             raise InconsistentSystemError(Polynomial(field, n, shrink[one]))
         blacklist |= shrink.keys()
-        B = connected_component_of_one(B - shrink.keys())
+        B = ech.connected(B - shrink.keys())
 
     raise NotZeroDimensionalError(
         f"loop guard ({loop_limit}) exceeded; the ideal is possibly not zero-dimensional"

@@ -101,9 +101,6 @@ class Field:
     def to_str(self, a) -> str:
         return str(a)
 
-    def to_complex(self, a) -> complex:
-        raise FieldError(f"field {self.name} is not embeddable in C")
-
     def encode(self, values):
         """(array, scale): the elements ``values``, a list or nested lists, as
         one numpy array of their shape, each value = its entry / scale; the
@@ -112,7 +109,7 @@ class Field:
 
     def decode(self, array, scale) -> list:
         """The elements array[k] / scale of an array of products of encodings."""
-        return array.tolist()
+        raise NotImplementedError
 
     def product(self, a, b):
         """a @ b for arrays this field encodes."""
@@ -156,12 +153,6 @@ class RationalField(Field):
         num = str(Decimal(a.numerator))
         return num if a.denominator == 1 else f"{num}/{Decimal(a.denominator)}"
 
-    def to_complex(self, a):
-        try:
-            return complex(a)
-        except OverflowError:
-            raise NumericError("a coefficient is outside the float range") from None
-
     def encode(self, values):
         """Integer numerators, an object array, over the lcm of the denominators."""
         array = np.array(values, dtype=object)
@@ -170,12 +161,6 @@ class RationalField(Field):
 
     def decode(self, array, scale):
         return [Fraction(x, scale) for x in array.tolist()]
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("qq")
 
 
 class PrimeField(Field):
@@ -224,12 +209,6 @@ class PrimeField(Field):
 
     def product(self, a, b):
         return residue_product(a, b, self)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("fp", self.p))
 
 
 def int64_sums_fit(field: Field, terms: int) -> bool:
@@ -315,9 +294,6 @@ class FloatField(Field):
     def to_str(self, a):
         return repr(a)
 
-    def to_complex(self, a):
-        return complex(a)
-
     def encode(self, values):
         """float64 over the scale 1; an entry that is inf or nan raises NumericError."""
         return _finite(np.array(values, dtype=np.float64)), 1
@@ -339,12 +315,6 @@ class FloatField(Field):
         badly scaled systems do not fail spuriously; inf or nan in x raises
         NumericError."""
         return np.abs(_finite(x)) > max(self.eps, 1e-10 * np.abs(a).max() * np.abs(b).max())
-
-    def __eq__(self, other):
-        return isinstance(other, FloatField) and other.eps == self.eps
-
-    def __hash__(self):
-        return hash(("f64", self.eps))
 
 
 def _spec_number(spec: str, kind, what: str):

@@ -174,30 +174,6 @@ def b_index(m: Monomial, B: set, memo: dict | None = None) -> int:
     return memo[m]
 
 
-def connected_component_of_one(B: set) -> set:
-    """Largest subset of B containing 1 and connected to 1 (empty if 1 not in B).
-
-    B is connected to 1 exactly when this returns B itself.
-    """
-    B = set(B)
-    if not B:
-        return set()
-    n = len(next(iter(B)))
-    one = mono_one(n)
-    if one not in B:
-        return set()
-    reach = {one}
-    frontier = [one]
-    while frontier:
-        m = frontier.pop()
-        for i in range(n):
-            m2 = mono_mul(m, mono_var(n, i))
-            if m2 in B and m2 not in reach:
-                reach.add(m2)
-                frontier.append(m2)
-    return reach
-
-
 def divisor_closure(monomials: Iterable[Monomial]) -> set:
     """All divisors of the given monomials (a division-stable set)."""
     out = set()

@@ -38,9 +38,6 @@ class RootSet:
     def __len__(self):
         return len(self.roots)
 
-    def __iter__(self):
-        return iter(self.roots)
-
     def to_json_dict(self):
         """The report of `solve`; a condition, residual or mnacr that is not
         finite is written as null."""
@@ -58,12 +55,15 @@ def _finite_or_none(x):
 
 
 def evaluate_complex(p: Polynomial, point) -> complex:
-    """p at a complex point, coefficients converted to complex, summed in
-    `mono_key` order so the value does not depend on the order p was built in."""
-    f = p.field
+    """p at a complex point, summed in `mono_key` order so the value does not
+    depend on the order p was built in; a coefficient beyond the float range
+    raises NumericError."""
     acc = 0j
     for m in sorted(p.terms, key=mono_key):
-        v = f.to_complex(p.terms[m])
+        try:
+            v = complex(p.terms[m])
+        except OverflowError:
+            raise NumericError("a coefficient is outside the float range") from None
         for k, e in enumerate(m):
             if e:
                 v *= point[k] ** e
@@ -98,7 +98,7 @@ def eigen_roots(ms: MultiplicationSystem, seed: int = 0, polys=None) -> RootSet:
         # M_i^T, row j the column j of M_i, stored column-major: the layout
         # sets the summation order of the products below, so the roots' last bits
         mats_t = [np.array(ms.matrices[i], dtype=complex, order="F") for i in range(n)]
-    except OverflowError:  # as `Field.to_complex` reports it
+    except OverflowError:  # as `evaluate_complex` reports it
         raise NumericError("a coefficient is outside the float range") from None
     t = np.exp(2j * np.pi * rng.random(n))
     M = sum(t[i] * mats_t[i] for i in range(n))

@@ -212,6 +212,30 @@ def stable_by_division(B):
     return True
 
 
+def connected_component_of_one(B):
+    """Largest subset of B containing 1 and connected to 1 (empty if 1 not in
+    B), one monomial product per step: the reference for the shrink move's
+    walk, `border._Universe.connected`.  B is connected to 1 exactly when
+    this returns B itself."""
+    B = set(B)
+    if not B:
+        return set()
+    n = len(next(iter(B)))
+    one = (0,) * n
+    if one not in B:
+        return set()
+    reach = {one}
+    frontier = [one]
+    while frontier:
+        m = frontier.pop()
+        for i in range(n):
+            m2 = mono_mul(m, mono_var(n, i))
+            if m2 in B and m2 not in reach:
+                reach.add(m2)
+                frontier.append(m2)
+    return reach
+
+
 class NotReducibleError(Exception):
     """A support monomial in the border has no rewriting rule."""
 

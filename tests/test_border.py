@@ -15,9 +15,9 @@ from borderbasis import (
     parse_field,
 )
 from borderbasis import border as border_module
-from borderbasis.border import BorderBasis, RewritingRule, _Echelon, _ModpEchelon, _RationalEchelon
+from borderbasis.border import BorderBasis, RewritingRule, _Echelon, _ModpEchelon, _RationalEchelon, _Universe
 from borderbasis.fields import float64_sums_fit, int64_sums_fit
-from borderbasis.poly import connected_component_of_one, mono_key
+from borderbasis.poly import divisor_closure, mono_key
 
 from conftest import (
     NotReducibleError,
@@ -25,6 +25,7 @@ from conftest import (
     border,
     check_reducing_family,
     compute,
+    connected_component_of_one,
     exhaustive_rewrite,
     monomials_of_degree_at_most,
     poly_of,
@@ -344,7 +345,9 @@ CHOICES = ["drvl", "dlex", "mac", "minsz", "mix:1"]
 
 def _bases_connected_to_one():
     """The non-order-ideal basis of test_syzygy, then seeded random sets
-    connected to 1 in one to three variables."""
+    connected to 1 in one to three variables.  Each is the component of 1 in
+    a sample, which the shrink move's walk over the shift table of the
+    sample's divisor closure finds as the reference does."""
     from test_syzygy import NON_ORDER_IDEAL
 
     yield compute(NON_ORDER_IDEAL, parse_field("qq"), choice="drvl").basis_set
@@ -352,8 +355,11 @@ def _bases_connected_to_one():
     for _ in range(30):
         n = rng.randint(1, 3)
         monos = monomials_of_degree_at_most(n, 4)
-        sample = set(rng.sample(monos, rng.randint(1, len(monos))))
-        yield connected_component_of_one(sample | {(0,) * n})
+        sample = set(rng.sample(monos, rng.randint(1, len(monos)))) | {(0,) * n}
+        component = connected_component_of_one(sample)
+        universe = _Universe(divisor_closure(sample), parse_choice("drvl"), parse_field("fp:65537"), n)
+        assert universe.connected(sample) == component
+        yield component
 
 
 def test_universe_tables_match_the_products():

@@ -221,6 +221,7 @@ def test_cli_solve_prime_field_is_numeric_error(capsys, tmp_path):
         # the modulus is named, not int()'s "invalid literal for int()"
         pytest.param(["--field", "fp:abc"], "invalid modulus 'abc'", id="fp:abc"),
         pytest.param(["--field", "fp:100"], "modulus 100 is not prime", id="fp:100"),
+        pytest.param(["--field", "fp:1"], "modulus 1 is not prime", id="fp:1"),
         # above 2^31 as well: 2^32 made pow fail in PrimeField.inv, and the
         # Fermat number 2^32 + 1 = 641 * 6700417 gave a "basis"
         pytest.param(["--field", "fp:4294967296"], "modulus 4294967296 is not prime", id="fp:4294967296"),
@@ -345,18 +346,30 @@ def test_cli_katsura_equals_its_text_on_stdin(capsys, monkeypatch, field):
             assert run(capsys, [action, *mode, "-"]) == generated
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "dump", "binary"])
+# the header errors: their file and the message that names the fault
+HEADER_ERRORS = {
+    "two-fields": ("ring x y over qq fp:5\nx^2 - 1\n", "expected a single field after 'over' at line 1"),
+    "header-field": ("ring x over fp:4\nx^2 - 1\n", "modulus 4 is not prime at line 1"),
+    "comments-only": ("# a comment\n\n# and another\n", "empty input: missing ring header"),
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "dump", "binary", *HEADER_ERRORS])
 def test_cli_file_error_exits_1(capsys, sysfile, tmp_path, case):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"ring x over qq\n\xff\n")
+    header = tmp_path / "header.txt"
+    header.write_text(HEADER_ERRORS.get(case, ("",))[0])
     argv = {
         "missing": ["basis", str(tmp_path / "nosuch.txt")],
         "directory": ["basis", str(tmp_path)],
         "dump": ["matrices", "--dump-matrices", str(tmp_path / "no" / "m.json"), sysfile],
         "binary": ["basis", str(binary)],
-    }[case]
+    }.get(case, ["basis", str(header)])
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert HEADER_ERRORS.get(case, ("", ""))[1] in err
 
 
 def test_cli_field_override(capsys, sysfile):
@@ -646,6 +659,26 @@ def test_cli_solve_huge_rational_coefficient_is_numeric(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_solve_huge_rational_input_coefficient_is_numeric(capsys, tmp_path):
+    # the basis (x = 1) has small matrices, but the residuals evaluate the
+    # input, whose 10^400 has no complex float
+    path = tmp_path / "sys.txt"
+    path.write_text("ring x y over qq\n1e400*x - 1e400\ny^2 - 1\n")
+    code, out = run(capsys, ["basis", "--json", str(path)])
+    assert code == 0 and json.loads(out)["basis"] == ["1", "y"]
+    assert main(["solve", str(path)]) == 3
+    assert capsys.readouterr().err == "error: a coefficient is outside the float range\n"
+
+
+def test_cli_float_overflow_in_the_echelon_is_numeric(capsys, tmp_path):
+    # 1e200 * 1e200 leaves the float range inside the echelon, where
+    # FloatField.normalize stops it
+    path = tmp_path / "sys.txt"
+    path.write_text("ring x y over f64:1e-10\nx^2 + 1e200*x*y - 1\ny^2 + 1e200*x - 1\n")
+    assert main(["basis", str(path)]) == 3
+    assert capsys.readouterr().err == "error: float overflow: a coefficient became -inf\n"
+
+
 def test_cli_failed_eigen_solve_is_numeric(capsys, monkeypatch):
     import numpy as np
 
@@ -711,6 +744,21 @@ def test_quotient_leaves_the_array_encoding_to_the_fields():
 def test_cli_report_names_the_f64_field_it_ran(capsys):
     code, out = run(capsys, ["katsura", "-n", "2", "--field", "f64:1.234567891e-10", "--json", "basis"])
     assert code == 0 and json.loads(out)["field"] == "f64:1.234567891e-10"
+    # the bare name runs the default eps
+    code, out = run(capsys, ["katsura", "-n", "2", "--field", "f64", "--json", "basis"])
+    assert code == 0 and json.loads(out)["field"] == "f64:1e-10"
+
+
+def test_cli_bare_mix_is_mix_0(capsys):
+    # the same basis, rules and loops; the report names the choice as given
+    reports = []
+    for spec in ("mix", "mix:0"):
+        code, out = run(capsys, ["katsura", "-n", "3", "--choice", spec, "--json", "basis"])
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("choice") == spec
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_no_library_function_calls_itself():

@@ -99,7 +99,7 @@ def test_parse_field_strings():
 def test_float_field_name_gives_its_eps_back(eps):
     # six significant digits where they round-trip ("f64:1e-10", "f64:0"),
     # every digit otherwise, so a report names the field the run used
-    assert parse_field(FloatField(eps).name) == FloatField(eps)
+    assert parse_field(FloatField(eps).name).eps == eps
 
 
 def test_float_field_names_that_round_trip_are_unchanged():

@@ -15,7 +15,6 @@ from borderbasis.fields import FloatField, PrimeField, RationalField
 from borderbasis.poly import (
     axpy,
     b_index,
-    connected_component_of_one,
     divisor_closure,
     mono_div,
     mono_divides,
@@ -28,6 +27,7 @@ from conftest import (
     b_index_by_scan,
     border,
     compute,
+    connected_component_of_one,
     mono_lcm,
     monomials_of_degree_at_most,
     poly_of,
@@ -209,6 +209,12 @@ def test_header_errors():
         parse_system("x0^2 - 1\n")
     with pytest.raises(ParseError):
         parse_system("ring x0 x0 over qq\n")
+    with pytest.raises(ParseError, match="expected a single field after 'over' at line 1"):
+        parse_system("ring x y over qq fp:5\nx^2 - 1\n")
+    with pytest.raises(ParseError, match="modulus 4 is not prime at line 1"):
+        parse_system("ring x over fp:4\n")
+    with pytest.raises(ParseError, match="empty input: missing ring header"):
+        parse_system("# a comment\n\n")
 
 
 def rational_terms(n=2, deg=3):

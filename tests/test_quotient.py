@@ -586,3 +586,5 @@ def test_matrix_json_round(qq, mac):
     d = ms.to_json_dict(["x0", "x1"])
     assert d["basis"] == ["1", "x0", "x1", "x0*x1"]
     assert len(d["matrices"]["x0"]) == 4
+    # without names the variables are x0, x1, ...
+    assert ms.to_json_dict() == d

@@ -6,6 +6,7 @@ from borderbasis import (
     generate_syzygies,
     normal_form,
     parse_choice,
+    parse_system,
     reduce_syzygy,
 )
 from borderbasis import syzygy
@@ -37,6 +38,7 @@ import pytest
 from conftest import (
     border,
     compute,
+    connected_component_of_one,
     monomials_of_degree_at_most,
     non_commuting_basis,
     oracle_syzygy_basis,
@@ -57,6 +59,19 @@ BASES = {
     "fp": lambda: compute_border_basis(gen_katsura(parse_field("fp:1000003"), 4), parse_choice("mac")),
     "drvl": lambda: compute(NON_ORDER_IDEAL, parse_field("qq"), choice="drvl"),
     "f64": lambda: compute_border_basis(gen_katsura(parse_field("f64:1e-10"), 3), parse_choice("mac")),
+}
+
+
+# B = {1, x0, x1}: a key that mu^j(c_i) and mu^i(c_j) share cancels
+CANCELLING = ["x0^2 - x0", "x0*x1 - x1", "x1^2 - x1"]
+
+GENERATOR_BASES = {
+    **BASES,
+    **{
+        f"cancels-{spec}-{choice}": lambda spec=spec, choice=choice: compute(CANCELLING, parse_field(spec), choice=choice)
+        for spec in ("qq", "fp:65537", "f64:1e-10")
+        for choice in ("drvl", "dlex", "mac")
+    },
 }
 
 
@@ -90,11 +105,11 @@ def test_mu_equals_the_product_reference(name):
             assert list(mu(v, i, bb).items()) == list(_mu_by_products(v, i, bb).items())
 
 
-@pytest.mark.parametrize("name", sorted(BASES))
+@pytest.mark.parametrize("name", sorted(GENERATOR_BASES))
 def test_generators_equal_their_lift_definition(name):
     # the closed form over the matrix columns against the one lift, value for
     # value and key for key (floats bit for bit)
-    bb = BASES[name]()
+    bb = GENERATOR_BASES[name]()
     f, n = bb.field, bb.nvars
     minus_one = f.normalize(-f.one)
     rels = generate_syzygies(bb)
@@ -110,14 +125,22 @@ def test_generators_equal_their_lift_definition(name):
         assert _in_order(r.coeffs) == _in_order(_nested(vec, bb))
 
 
-@pytest.mark.parametrize("name", sorted(BASES))
+@pytest.mark.parametrize("name", sorted(GENERATOR_BASES))
 def test_generated_relations_hold_no_zero_coefficient(name):
     # SyzygyRelation stores its coefficients as given: the generators must
     # build every h_w nonzero, with no zero term in it
-    bb = BASES[name]()
+    bb = GENERATOR_BASES[name]()
     f = bb.field
     rels = generate_syzygies(bb)
     assert rels
+    if name.startswith("cancels"):
+        # a shared key whose sum is zero, which the closed form drops
+        assert bb.basis == [(0, 0), (1, 0), (0, 1)]
+        ms, sums = bb.ms, []
+        for k, i, j in neighbours(ms):
+            mus = mu(ms.matrices[j][k], i, bb)
+            sums += [f.normalize(mus[key] - c) for key, c in mu(ms.matrices[i][k], j, bb).items() if key in mus]
+        assert any(f.is_zero(s) for s in sums)
     for r in rels:
         assert r.coeffs
         for h in r.coeffs.values():
@@ -231,6 +254,43 @@ def test_reduce_rejects_non_syzygy(qq, mac):
     bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
     with pytest.raises(SyzygyError):
         reduce_syzygy({(2, 0): poly_of("1", qq)}, bb)
+    # a coefficient keyed by a basis monomial has no border polynomial
+    with pytest.raises(SyzygyError, match="non-border monomial"):
+        reduce_syzygy({(1, 0): poly_of("1", qq)}, bb)
+
+
+def test_reduce_gives_up_at_the_step_limit(qq, monkeypatch):
+    bb = compute(["x0^2 - 1", "x1^2 - x1"], qq)
+    x0 = mono_var(2, 0)
+    syz = {w: h.mul_monomial(x0) for w, h in generate_syzygies(bb)[0].coeffs.items()}
+    assert reduce_syzygy(syz, bb) == {}
+    monkeypatch.setattr(syzygy, "_REDUCE_STEP_LIMIT", 1)
+    with pytest.raises(SyzygyError, match="step limit"):
+        reduce_syzygy(syz, bb)
+
+
+@pytest.mark.parametrize("spec", ["qq", "fp:65537"], ids=["qq", "fp"])
+def test_reduce_variable_multiples_of_generators(spec, monkeypatch):
+    # on B = {1, x0, x1, x0^2, x1^2, x0^2*x1}, not an order ideal, one term
+    # m*e_w of these multiples has m*w in B: its exchange partner is (1, m*w)
+    from test_cli import NON_ORDER_IDEAL as text
+
+    _, _, polys = parse_system(text, field_override=parse_field(spec))
+    bb = compute_border_basis(polys, parse_choice("drvl"))
+    assert bb.basis == [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (2, 1)]
+    deltas = []
+
+    def partner(u, delta, bb, by_size):
+        deltas.append(delta)
+        return exchange_partner(u, delta, bb, by_size)
+
+    exchange_partner = syzygy._exchange_partner
+    monkeypatch.setattr(syzygy, "_exchange_partner", partner)
+    for r in generate_syzygies(bb):
+        for k in range(bb.nvars):
+            syz = {w: h.mul_monomial(mono_var(bb.nvars, k)) for w, h in r.coeffs.items()}
+            assert reduce_syzygy(syz, bb) == {}
+    assert deltas.count(0) == 1
 
 
 def test_random_ideal_combination_syzygies(fp, mac):
@@ -273,8 +333,6 @@ def test_decomposition_order_independence(qq, mac):
 
 @pytest.mark.parametrize("spec", ["qq", "fp:65537"], ids=["qq", "fp"])
 def test_lift_expands_to_projection(spec):
-    from borderbasis.poly import connected_component_of_one
-
     f = parse_field(spec)
     bb = compute(NON_ORDER_IDEAL, f, choice="drvl")
     assert connected_component_of_one(bb.basis_set) == bb.basis_set
